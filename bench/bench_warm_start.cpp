@@ -12,6 +12,10 @@
 // assignment repaired into the B&B incumbent; under the revised engine the
 // cache additionally threads the root BasisHint from slot to slot).
 //
+// Every engine x leg also reports wall time per explored node and LP
+// pivots per node (IlpSolution::lp_pivots), so a warm leg's effect on LP
+// work shows apart from its effect on the node count.
+//
 // Acceptance claims this bench backs:
 //   - warm-started consecutive-slot solves explore >= 30% fewer ILP nodes
 //     than cold solves under the dense engine, with bit-identical
@@ -102,6 +106,7 @@ void advance_slot(common::Rng& rng, core::SlotProblem& problem) {
 
 struct LegResult {
   long nodes = 0;
+  long pivots = 0;  ///< LP pivots summed over the explored nodes
   double wall_ms = 0.0;
   std::vector<double> objectives;
   std::vector<double> slot_ms;  ///< per-slot solve latency
@@ -111,10 +116,21 @@ struct LegResult {
                ? 1000.0 * static_cast<double>(slot_ms.size()) / wall_ms
                : 0.0;
   }
+  double us_per_node() const {
+    return nodes > 0 ? 1000.0 * wall_ms / static_cast<double>(nodes) : 0.0;
+  }
+  double pivots_per_node() const {
+    return nodes > 0
+               ? static_cast<double>(pivots) / static_cast<double>(nodes)
+               : 0.0;
+  }
 
   lpvs::common::Json to_json() const {
     lpvs::common::Json leg = lpvs::common::Json::object();
     leg.set("nodes", nodes);
+    leg.set("pivots", pivots);
+    leg.set("us_per_node", us_per_node());
+    leg.set("pivots_per_node", pivots_per_node());
     leg.set("wall_ms", wall_ms);
     leg.set("slots_per_sec", slots_per_sec());
     leg.set("p50_ms", lpvs::bench::percentile(slot_ms, 0.5));
@@ -139,8 +155,9 @@ int main() {
 
   constexpr int kSlots = 16;
   common::Table table({"engine", "devices", "cold nodes", "warm nodes",
-                       "node cut", "cold ms", "warm ms", "warm slots/s",
-                       "warm p99 ms"});
+                       "node cut", "cold ms", "warm ms", "cold us/node",
+                       "warm us/node", "cold piv/node", "warm piv/node",
+                       "warm slots/s", "warm p99 ms"});
   bool all_pass = true;
   common::Json rows = common::Json::array();
 
@@ -175,6 +192,7 @@ int main() {
               solver::solve_with_cache(solver, program, cache, /*key=*/1);
           const auto s1 = std::chrono::steady_clock::now();
           leg.nodes += solved.solution.nodes_explored;
+          leg.pivots += solved.solution.lp_pivots;
           leg.objectives.push_back(solved.solution.objective);
           leg.slot_ms.push_back(
               std::chrono::duration<double, std::milli>(s1 - s0).count());
@@ -250,6 +268,10 @@ int main() {
                      common::Table::num(run->node_cut_percent, 1) + "%",
                      common::Table::num(run->cold.wall_ms, 1),
                      common::Table::num(run->warm.wall_ms, 1),
+                     common::Table::num(run->cold.us_per_node(), 2),
+                     common::Table::num(run->warm.us_per_node(), 2),
+                     common::Table::num(run->cold.pivots_per_node(), 2),
+                     common::Table::num(run->warm.pivots_per_node(), 2),
                      common::Table::num(run->warm.slots_per_sec(), 1),
                      common::Table::num(
                          bench::percentile(run->warm.slot_ms, 0.99), 3)});

@@ -86,9 +86,10 @@ Schedule score_selection(const SlotProblem& problem,
 /// warm-start bench can solve the exact workload the scheduler solves.
 solver::BinaryProgram phase1_program(const SlotProblem& problem);
 
-/// B&B settings tuned for per-slot scheduling: a bounded node budget and a
-/// 0.001% relative optimality gap, so the solver never chases ties through
-/// an exponential frontier of equivalent optima inside a 5-minute slot.
+/// B&B settings tuned for per-slot scheduling: a 200-node budget and a
+/// 1e-4 (0.01%) relative optimality gap, so the solver never chases ties
+/// through an exponential frontier of equivalent optima inside a 5-minute
+/// slot.
 /// The zero-argument form selects the revised/dual-simplex engine — the
 /// serving hot path; pass solver::LpEngine::kDense to pin the historical
 /// oracle instead.

@@ -92,6 +92,10 @@ void record_solve_metrics(obs::MetricsRegistry* metrics,
                   obs::MetricsRegistry::linear_buckets(0.0, 20.0, 26),
                   "Branch-and-bound nodes explored by one solve")
       .observe(static_cast<double>(cached.solution.nodes_explored));
+  metrics
+      ->counter("lpvs_solver_lp_pivots_total",
+                "LP relaxation pivots summed over explored B&B nodes")
+      .add(cached.solution.lp_pivots);
 }
 
 /// Key stride for per-rung fault decisions: each slot draws at most one
@@ -146,10 +150,10 @@ solver::BranchAndBoundSolver::Options scheduler_ilp_defaults() {
 solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
     solver::LpEngine engine) {
   // The root LP plus LP-guided rounding already lands within a fraction of
-  // a percent of the optimum on Phase-1-shaped knapsacks; a couple hundred
-  // nodes close the remaining gap.  Proving exact optimality can take an
-  // exponential tie-breaking frontier, which has no business inside a
-  // 5-minute scheduling slot.
+  // a percent of the optimum on Phase-1-shaped knapsacks.  Proving exact
+  // optimality can take an exponential tie-breaking frontier, which has no
+  // business inside a 5-minute scheduling slot, so the node budget — not
+  // the gap — ends most emulated-cluster solves (about 70% stop at it).
   solver::BranchAndBoundSolver::Options options;
   options.max_nodes = 200;
   options.relative_gap = 1e-4;

@@ -382,12 +382,8 @@ bool Worker::handle_report(Connection* conn, const protocol::Report& report) {
     return fail_session(conn, common::StatusCode::kInvalidArgument,
                         "REPORT out of slot order");
   }
-  // The Bayes observation of the previous slot's realized saving (§V-D):
-  // feed both estimators, as the emulator does.
-  if (report.has_delta != 0) {
-    conn->gamma.observe(report.observed_delta);
-    conn->nig.observe(report.observed_delta);
-  }
+  // The Bayes observation of the previous slot's realized saving (§V-D).
+  if (report.has_delta != 0) conn->gamma.observe(report.observed_delta);
   if (report.watching == 0) {
     // The user gave up; it leaves the cluster now so remaining members'
     // barrier does not wait on it, and BYE follows.

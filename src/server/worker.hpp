@@ -24,7 +24,6 @@
 
 #include "lpvs/abr/joint.hpp"
 #include "lpvs/bayes/gamma_estimator.hpp"
-#include "lpvs/bayes/nig_estimator.hpp"
 #include "lpvs/common/pool.hpp"
 #include "lpvs/common/ring.hpp"
 #include "lpvs/common/rng.hpp"
@@ -177,7 +176,6 @@ class Worker {
     protocol::Hello hello{};
     display::DisplaySpec spec{};
     bayes::GammaEstimator gamma{};
-    bayes::NigGammaEstimator nig{};
     Cluster* cluster = nullptr;
     bool has_report = false;
     protocol::Report report{};
@@ -193,7 +191,6 @@ class Worker {
       orderly = false;
       hello = {};
       gamma = {};
-      nig = {};
       cluster = nullptr;
       has_report = false;
     }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -57,6 +56,69 @@ bool build_relaxation(const BinaryProgram& problem, const Fixing& fixing,
   }
   return true;
 }
+
+/// Fixed-width slots recycled through a free list: the revised search's
+/// per-node fixings and parent bases live here, so once the pool has
+/// grown to the frontier's size the node loop allocates nothing.
+template <typename T>
+class SlotPool {
+ public:
+  explicit SlotPool(std::size_t width) : width_(width) {}
+
+  std::uint32_t acquire() {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    data_.resize(data_.size() + width_);
+    return slots_++;
+  }
+  void release(std::uint32_t slot) { free_.push_back(slot); }
+  /// Valid until the next acquire() (which may grow the storage).
+  T* at(std::uint32_t slot) { return data_.data() + slot * width_; }
+
+ private:
+  std::size_t width_;
+  std::vector<T> data_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t slots_ = 0;
+};
+
+/// Parent-basis snapshots shared by both children of a node: one slot per
+/// branched node, released when the second child has re-solved from it.
+class BasisPool {
+ public:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  BasisPool(std::size_t rows, std::size_t vars) : basic_(rows), state_(vars) {}
+
+  std::uint32_t store(const RevisedLpSolver& engine) {
+    const std::uint32_t slot = basic_.acquire();
+    // The two pools grow and recycle in lockstep, so slots coincide.
+    [[maybe_unused]] const std::uint32_t twin = state_.acquire();
+    assert(twin == slot);
+    if (slot >= refs_.size()) refs_.resize(slot + 1);
+    refs_[slot] = 2;
+    std::copy(engine.basic_vars().begin(), engine.basic_vars().end(),
+              basic_.at(slot));
+    std::copy(engine.var_states().begin(), engine.var_states().end(),
+              state_.at(slot));
+    return slot;
+  }
+  void release(std::uint32_t slot) {
+    if (slot == kNone || --refs_[slot] > 0) return;
+    basic_.release(slot);
+    state_.release(slot);
+  }
+  const std::uint32_t* basic(std::uint32_t slot) { return basic_.at(slot); }
+  const std::uint8_t* state(std::uint32_t slot) { return state_.at(slot); }
+
+ private:
+  SlotPool<std::uint32_t> basic_;
+  SlotPool<std::uint8_t> state_;
+  std::vector<int> refs_;
+};
 
 }  // namespace
 
@@ -304,6 +366,7 @@ IlpSolution BranchAndBoundSolver::solve_dense(
   std::vector<Node> stack;
   stack.push_back(Node{Fixing(n, -1)});
   long nodes = 0;
+  long pivots = 0;
   bool exhausted_within_limit = true;
 
   while (!stack.empty()) {
@@ -321,6 +384,7 @@ IlpSolution BranchAndBoundSolver::solve_dense(
       continue;  // fixings alone violate a capacity row
     }
     const LpSolution relaxed = lp_solver.solve(lp);
+    pivots += relaxed.iterations;
     if (!relaxed.optimal()) continue;  // treat as prune (cannot bound)
     const double bound = base + relaxed.objective;
     const double prune_margin =
@@ -353,6 +417,7 @@ IlpSolution BranchAndBoundSolver::solve_dense(
   }
 
   best.nodes_explored = nodes;
+  best.lp_pivots = pivots;
   if (!problem.feasible(best.x)) {
     // Only reachable when some rhs[i] < 0: the greedy fallback returned
     // the (infeasible) all-zeros point and every node pruned at the root.
@@ -448,76 +513,128 @@ IlpSolution BranchAndBoundSolver::solve_revised(
                             basis_memory->var_map == pre.var_map &&
                             basis_memory->row_map == pre.row_map;
 
+  // Column-major copy of the reduced rows: rounding walks one variable's
+  // coefficients at a time.
+  std::vector<double> columns(rn * rm);
+  for (std::size_t i = 0; i < rm; ++i) {
+    for (std::size_t j = 0; j < rn; ++j) columns[j * rm + i] = red.rows[i][j];
+  }
+
   // LP-guided rounding over the reduced space (mirror of the dense
-  // engine's try_round).
-  auto try_round = [&](const Fixing& fixing, const std::vector<double>& lp_x) {
-    std::vector<int> candidate(rn, 0);
-    std::vector<double> used(rm, 0.0);
+  // engine's try_round), on buffers reused across nodes.  The rounded
+  // point is kept as the index-ordered list of variables it takes.
+  std::vector<double> used(rm);
+  std::vector<std::uint32_t> taken(rn);
+  std::vector<std::pair<double, std::size_t>> rest;
+  rest.reserve(rm);
+  std::vector<int> candidate(rn);
+  auto try_round = [&](const signed char* fixing,
+                       const std::vector<double>& lp_x) {
+    std::fill(used.begin(), used.end(), 0.0);
     auto fits = [&](std::size_t j) {
       for (std::size_t i = 0; i < rm; ++i) {
-        if (used[i] + red.rows[i][j] > red.rhs[i] + 1e-9) return false;
+        if (used[i] + columns[j * rm + i] > red.rhs[i] + 1e-9) return false;
       }
       return true;
     };
     auto take = [&](std::size_t j) {
-      candidate[j] = 1;
-      for (std::size_t i = 0; i < rm; ++i) used[i] += red.rows[i][j];
+      for (std::size_t i = 0; i < rm; ++i) used[i] += columns[j * rm + i];
     };
-    std::vector<std::pair<double, std::size_t>> rest;
+    // Variables at one, in index order (listed branch-free): fixed to one
+    // by the node (feasible by construction), or free with lp_x near one.
+    std::size_t ones = 0;
     for (std::size_t j = 0; j < rn; ++j) {
-      if (fixing[j] == 1) {
-        take(j);  // fixed by the node, feasible by construction
-      } else if (fixing[j] == -1) {
-        if (lp_x[j] > 1.0 - 1e-6) {
-          if (fits(j)) take(j);
-        } else if (lp_x[j] > 1e-9 && red.objective[j] > 0.0) {
-          rest.emplace_back(lp_x[j] * red.objective[j], j);
-        }
+      taken[ones] = static_cast<std::uint32_t>(j);
+      ones += (fixing[j] == 1) | ((fixing[j] == -1) & (lp_x[j] > 1.0 - 1e-6));
+    }
+    std::size_t count = 0;
+    for (std::size_t k = 0; k < ones; ++k) {
+      const std::size_t j = taken[k];
+      const bool took = fixing[j] == 1 || fits(j);
+      if (took) take(j);
+      taken[count] = static_cast<std::uint32_t>(j);
+      count += took;
+    }
+    // The free fractional ones, by LP value.  Nonbasic variables sit on
+    // their 0/1 bounds, so only basic ones can be fractional; they are
+    // listed in index order first, so the sort sees the same input
+    // sequence as a full index scan would give it.
+    rest.clear();
+    for (const std::uint32_t j : engine.basic_vars()) {
+      if (j < rn && fixing[j] == -1 && !(lp_x[j] > 1.0 - 1e-6) &&
+          lp_x[j] > 1e-9 && red.objective[j] > 0.0) {
+        rest.emplace_back(lp_x[j] * red.objective[j], j);
       }
     }
     std::sort(rest.begin(), rest.end(),
+              [](const auto& a, const auto& b) { return a.second < b.second; });
+    std::sort(rest.begin(), rest.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     for (const auto& [score, j] : rest) {
-      if (fits(j)) take(j);
+      if (!fits(j)) continue;
+      take(j);
+      const auto end = taken.begin() + static_cast<std::ptrdiff_t>(count);
+      const auto at = std::upper_bound(taken.begin(), end, j);
+      std::copy_backward(at, end, end + 1);
+      *at = static_cast<std::uint32_t>(j);
+      ++count;
     }
-    const double value = red.value(candidate);
-    if (value > best_r.objective + tol && red.feasible(candidate)) {
+    // red.value() of the rounded point: its objective entries in index
+    // order, the same additions as the full scan (which adds nothing for
+    // the variables left at zero).
+    double value = 0.0;
+    for (std::size_t k = 0; k < count; ++k) value += red.objective[taken[k]];
+    if (!(value > best_r.objective + tol)) return;
+    std::fill(candidate.begin(), candidate.end(), 0);
+    for (std::size_t k = 0; k < count; ++k) candidate[taken[k]] = 1;
+    if (red.feasible(candidate)) {
       best_r.objective = value;
-      best_r.x = std::move(candidate);
+      best_r.x = candidate;
     }
   };
 
   // Best-first node heap: highest parent bound first, FIFO (sequence
   // number) among ties so exploration order — and with it the node count —
-  // is a pure function of the input.
+  // is a pure function of the input.  Entries name pooled slots: the
+  // node's fixing and the parent basis it re-solves from.
   struct HeapNode {
     double bound;
     std::uint64_t seq;
-    Fixing fixing;
-    std::shared_ptr<const SimplexBasis> parent_basis;
+    std::uint32_t fixing;
+    std::uint32_t parent_basis;
   };
   auto heap_before = [](const HeapNode& a, const HeapNode& b) {
     if (a.bound != b.bound) return a.bound < b.bound;
     return a.seq > b.seq;  // max-heap: lower seq pops first on bound ties
   };
+  SlotPool<signed char> fixings(rn);
+  BasisPool bases(rm, rn + rm);
   std::vector<HeapNode> heap;
   std::uint64_t next_seq = 0;
-  heap.push_back(HeapNode{std::numeric_limits<double>::infinity(), next_seq++,
-                          Fixing(rn, -1), nullptr});
+  {
+    const std::uint32_t root_fixing = fixings.acquire();
+    std::fill_n(fixings.at(root_fixing), rn, static_cast<signed char>(-1));
+    heap.push_back(HeapNode{std::numeric_limits<double>::infinity(),
+                            next_seq++, root_fixing, BasisPool::kNone});
+  }
 
   long nodes = 0;
+  long pivots = 0;
   bool exhausted_within_limit = true;
   bool root = true;
 
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), heap_before);
-    HeapNode node = std::move(heap.back());
+    const HeapNode node = heap.back();
     heap.pop_back();
 
     const double prune_margin =
         std::max(tol, options_.relative_gap * std::fabs(best_r.objective));
     if (node.bound <= best_r.objective + prune_margin) {
-      continue;  // stale: incumbent moved past it while queued (not counted)
+      // Stale: incumbent moved past it while queued (not counted).
+      fixings.release(node.fixing);
+      bases.release(node.parent_basis);
+      continue;
     }
     if (nodes >= options_.max_nodes) {
       exhausted_within_limit = false;
@@ -525,21 +642,18 @@ IlpSolution BranchAndBoundSolver::solve_revised(
     }
     ++nodes;
 
-    engine.reset_bounds();
-    for (std::size_t j = 0; j < rn; ++j) {
-      if (node.fixing[j] != -1) {
-        const double v = node.fixing[j] == 1 ? 1.0 : 0.0;
-        engine.set_bounds(j, v, v);
-      }
-    }
-    LpSolution relaxed;
-    if (node.parent_basis != nullptr) {
-      relaxed = engine.resolve(*node.parent_basis);
+    engine.set_fixings(fixings.at(node.fixing));
+    RevisedLpSolver::Result relaxed;
+    if (node.parent_basis != BasisPool::kNone) {
+      relaxed = engine.resolve_trusted(bases.basic(node.parent_basis),
+                                       bases.state(node.parent_basis));
+      bases.release(node.parent_basis);
     } else if (root && reuse_memory) {
-      relaxed = engine.resolve(basis_memory->basis);
+      relaxed = engine.resolve_in_place(basis_memory->basis);
     } else {
-      relaxed = engine.solve();
+      relaxed = engine.solve_in_place();
     }
+    pivots += relaxed.iterations;
     if (root) {
       root = false;
       if (basis_memory != nullptr) {
@@ -551,43 +665,58 @@ IlpSolution BranchAndBoundSolver::solve_revised(
         }
       }
     }
-    if (!relaxed.optimal()) continue;  // infeasible/limit: prune (counted)
     const double bound = relaxed.objective;
-    if (bound <= best_r.objective + prune_margin) continue;
+    if (!relaxed.optimal() ||  // infeasible/limit: prune (counted)
+        bound <= best_r.objective + prune_margin) {
+      fixings.release(node.fixing);
+      continue;
+    }
 
-    try_round(node.fixing, relaxed.x);
-    if (bound <= best_r.objective + prune_margin) continue;
+    const std::vector<double>& lp_x = engine.x();
+    try_round(fixings.at(node.fixing), lp_x);
 
-    // Most fractional variable, lowest index on ties.
+    // Most fractional variable, lowest index on ties.  Nonbasic variables
+    // sit exactly on 0/1 bounds, so only the basic ones can be fractional.
     std::ptrdiff_t branch_var = -1;
-    double best_fractionality = tol;
-    for (std::size_t j = 0; j < rn; ++j) {
-      if (node.fixing[j] != -1) continue;
-      const double frac = std::fabs(relaxed.x[j] - std::round(relaxed.x[j]));
-      if (frac > best_fractionality) {
-        best_fractionality = frac;
-        branch_var = static_cast<std::ptrdiff_t>(j);
+    if (bound > best_r.objective + prune_margin) {
+      const signed char* fixing = fixings.at(node.fixing);
+      double best_fractionality = tol;
+      for (const std::uint32_t j : engine.basic_vars()) {
+        if (j >= rn || fixing[j] != -1) continue;
+        const double frac = std::fabs(lp_x[j] - std::round(lp_x[j]));
+        if (frac > best_fractionality ||
+            (frac == best_fractionality &&
+             static_cast<std::ptrdiff_t>(j) < branch_var)) {
+          best_fractionality = frac;
+          branch_var = static_cast<std::ptrdiff_t>(j);
+        }
       }
     }
-    if (branch_var < 0) continue;  // integral: try_round already recorded it
+    if (branch_var < 0) {
+      // Pruned after rounding, or integral (try_round recorded it).
+      fixings.release(node.fixing);
+      continue;
+    }
 
     // Children inherit this node's optimal basis — one refactorization and
-    // typically a couple of dual pivots each instead of a cold solve.
-    auto basis = std::make_shared<const SimplexBasis>(engine.basis());
+    // typically a couple of dual pivots each instead of a cold solve.  The
+    // down child takes over the parent's fixing slot.
+    const std::uint32_t basis = bases.store(engine);
+    const std::uint32_t up_fixing = fixings.acquire();
     const auto bv = static_cast<std::size_t>(branch_var);
-    HeapNode up{bound, next_seq++, node.fixing, basis};
-    up.fixing[bv] = 1;
-    HeapNode down{bound, next_seq++, std::move(node.fixing), basis};
-    down.fixing[bv] = 0;
-    heap.push_back(std::move(up));
+    std::copy_n(fixings.at(node.fixing), rn, fixings.at(up_fixing));
+    fixings.at(up_fixing)[bv] = 1;
+    fixings.at(node.fixing)[bv] = 0;
+    heap.push_back(HeapNode{bound, next_seq++, up_fixing, basis});
     std::push_heap(heap.begin(), heap.end(), heap_before);
-    heap.push_back(std::move(down));
+    heap.push_back(HeapNode{bound, next_seq++, node.fixing, basis});
     std::push_heap(heap.begin(), heap.end(), heap_before);
   }
 
   out.x = expand_solution(pre, best_r.x);
   out.objective = problem.value(out.x);
   out.nodes_explored = nodes;
+  out.lp_pivots = pivots;
   if (!problem.feasible(out.x)) {
     // Only reachable in the rhs-within-tolerance gray zone where presolve
     // accepts a row that feasible() rejects; mirror the dense verdict.

@@ -58,6 +58,9 @@ struct IlpSolution {
   std::vector<int> x;
   double objective = 0.0;
   long nodes_explored = 0;
+  /// LP pivots (LpSolution::iterations) summed over the explored nodes.
+  /// Diagnostic only: not part of checkpoints, wire frames or digests.
+  long lp_pivots = 0;
 
   bool optimal() const { return status == IlpStatus::kOptimal; }
 };
@@ -85,9 +88,9 @@ class BranchAndBoundSolver {
     long max_nodes = 500'000;
     double tolerance = 1e-7;
     /// Prune nodes whose bound is within this relative gap of the
-    /// incumbent.  0 gives a fully exact solve; schedulers use a small
-    /// positive gap (e.g. 1e-5) to avoid chasing ties through an
-    /// exponential frontier of equivalent optima.
+    /// incumbent.  0 gives a fully exact solve; scheduler_ilp_defaults()
+    /// uses 1e-4 to avoid chasing ties through an exponential frontier of
+    /// equivalent optima.
     double relative_gap = 0.0;
     /// Which per-node relaxation engine to run.  Defaults to the dense
     /// oracle; scheduler_ilp_defaults() selects kRevised for the serving

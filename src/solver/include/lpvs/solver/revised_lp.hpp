@@ -116,6 +116,44 @@ class RevisedLpSolver {
   std::size_t num_vars() const { return n_; }
   std::size_t num_rows() const { return m_; }
 
+  // --- Allocation-free kernel for branch-and-bound. ---
+  //
+  // The calls below produce exactly the bits of their public counterparts
+  // (same floating-point operations in the same order, same tie-breaks);
+  // they only skip copies and checks that B&B does not need.
+
+  /// Outcome of an in-place solve; the primal point stays in x().
+  struct Result {
+    LpStatus status = LpStatus::kMalformed;
+    double objective = 0.0;
+    int iterations = 0;
+
+    bool optimal() const { return status == LpStatus::kOptimal; }
+  };
+
+  /// Sets every structural box from a per-variable fixing in one pass:
+  /// -1 restores the loaded [0, upper_j], 0 pins [0, 0], 1 pins [1, 1].
+  /// Equivalent to reset_bounds() followed by set_bounds() per fixed var.
+  void set_fixings(const signed char* fixing);
+
+  /// solve() / resolve() without building an LpSolution.
+  Result solve_in_place();
+  Result resolve_in_place(const SimplexBasis& from);
+
+  /// Warm re-solve from a basis this engine produced on the loaded problem
+  /// (a B&B parent's), given as `basic` (size m) and `state` (size n+m).
+  /// Skips resolve()'s snapshot validation and its infinite-upper sweep,
+  /// so bounds may only have changed to finite values since the snapshot.
+  Result resolve_trusted(const std::uint32_t* basic,
+                         const std::uint8_t* state);
+
+  /// Primal point of the last optimal in-place solve (size n).
+  const std::vector<double>& x() const { return x_; }
+  /// Current basis: variable index per row (size m) and per-variable
+  /// lower/upper/basic state (size n+m), as snapshotted by basis().
+  const std::vector<std::uint32_t>& basic_vars() const { return basis_; }
+  const std::vector<std::uint8_t>& var_states() const { return state_; }
+
  private:
   bool refactorize();
   void compute_basic_values();
@@ -125,21 +163,23 @@ class RevisedLpSolver {
   void eta_update(const std::vector<double>& w, std::size_t row);
   bool primal_feasible() const;
   void compute_y(const std::vector<double>& costs);
-  double reduced_cost(std::size_t var, const std::vector<double>& costs) const;
-  /// Shifts nonbasic reduced costs into dual feasibility; returns the
-  /// shifted cost vector (size n+m) to run the dual phase under.
-  std::vector<double> shifted_costs();
+  /// Refreshes dir_[var] after a state change.
+  void update_direction(std::size_t var);
+  /// Shifts nonbasic reduced costs into dual feasibility, writing the
+  /// shifted cost vector (size n+m) to shifted_.
+  void shift_costs();
   LpStatus primal_phase(const std::vector<double>& costs, int& iters);
   LpStatus dual_phase(const std::vector<double>& costs, int& iters);
-  LpSolution run();
-  LpSolution extract(LpStatus status, int iters) const;
+  Result run();
+  Result extract(LpStatus status, int iters);
+  LpSolution to_solution(const Result& result) const;
 
   Options options_;
   std::size_t n_ = 0;
   std::size_t m_ = 0;
   std::size_t total_ = 0;
   std::vector<double> cols_;   ///< structural columns, column-major n*m
-  std::vector<double> obj_;    ///< size n
+  std::vector<double> costs_;  ///< true costs, size n+m (slack cost = 0)
   std::vector<double> rhs_;    ///< size m
   std::vector<double> lower_;  ///< size n+m (slack lower = 0)
   std::vector<double> upper_;  ///< size n+m (slack upper = +inf)
@@ -147,6 +187,10 @@ class RevisedLpSolver {
 
   std::vector<std::uint32_t> basis_;  ///< size m
   std::vector<std::uint8_t> state_;   ///< size n+m
+  /// Pricing direction per variable: +1 nonbasic at lower, -1 nonbasic at
+  /// upper, 0 basic or fixed in place.  Turns each "is this candidate
+  /// improving" branch into one sign test on a product.
+  std::vector<double> dir_;
   std::vector<double> binv_;          ///< m*m row-major
   std::vector<double> xb_;            ///< basic values, size m
   int pivots_since_refactor_ = 0;
@@ -154,6 +198,15 @@ class RevisedLpSolver {
   // Scratch (sized in load, reused across solves).
   std::vector<double> y_;
   std::vector<double> w_;
+  std::vector<double> shifted_;   ///< dual-phase costs, size n+m
+  std::vector<double> factor_;    ///< refactorization work matrix, m*m
+  std::vector<double> inverse_;   ///< refactorization result, m*m
+  std::vector<double> residual_;  ///< b - A_N x_N, size m
+  /// Variable lists built branch-free by the kernels (nonbasic variables
+  /// off zero, dual ratio candidates) with one value each; size n+m.
+  std::vector<std::uint32_t> listed_;
+  std::vector<double> listed_value_;
+  std::vector<double> x_;         ///< primal point, size n
 };
 
 }  // namespace lpvs::solver

@@ -605,6 +605,9 @@ TEST(BudgetFingerprint, TruncatedSolveNeverExactHitsFullBudgetEntry) {
   const CachedSolve same_budget =
       solve_with_cache(solver, program, &cache, 1, full_fp);
   EXPECT_TRUE(same_budget.exact_hit);
+  // A replayed hit did no search this slot.
+  EXPECT_EQ(same_budget.solution.nodes_explored, 0);
+  EXPECT_EQ(same_budget.solution.lp_pivots, 0);
   const CachedSolve other_budget =
       solve_with_cache(solver, program, &cache, 1, trunc_fp);
   EXPECT_FALSE(other_budget.exact_hit);

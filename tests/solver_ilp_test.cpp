@@ -213,13 +213,51 @@ std::vector<ExactnessCase> exactness_cases() {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, BnbExactness,
                          ::testing::ValuesIn(exactness_cases()));
 
+BranchAndBoundSolver exact_solver(LpEngine engine) {
+  BranchAndBoundSolver::Options options;
+  options.engine = engine;
+  return BranchAndBoundSolver(options);
+}
+
 TEST(BranchAndBound, ScalesToHundredsOfVariables) {
+  // The revised engine: the dense oracle needs tens of seconds here.
   common::Rng rng(7);
   const BinaryProgram p = random_program(rng, 300, 2);
-  const IlpSolution s = BranchAndBoundSolver().solve(p);
+  const IlpSolution s = exact_solver(LpEngine::kRevised).solve(p);
   EXPECT_TRUE(s.optimal());
   EXPECT_TRUE(p.feasible(s.x));
   EXPECT_GE(s.objective, GreedySolver().solve(p).objective - 1e-9);
+}
+
+TEST(BranchAndBound, RevisedMatchesDenseOracleAtSixtyVariables) {
+  common::Rng rng(7);
+  const BinaryProgram p = random_program(rng, 60, 2);
+  const IlpSolution revised = exact_solver(LpEngine::kRevised).solve(p);
+  const IlpSolution dense = exact_solver(LpEngine::kDense).solve(p);
+  ASSERT_TRUE(revised.optimal());
+  ASSERT_TRUE(dense.optimal());
+  EXPECT_TRUE(p.feasible(revised.x));
+  EXPECT_NEAR(revised.objective, dense.objective, 1e-9);
+}
+
+TEST(BranchAndBound, CountsLpPivotsOverExploredNodes) {
+  common::Rng rng(11);
+  const BinaryProgram p = random_program(rng, 40, 2);
+
+  // One node: the count is exactly the root relaxation's pivots.
+  BranchAndBoundSolver::Options root_only;
+  root_only.max_nodes = 1;
+  const IlpSolution root = BranchAndBoundSolver(root_only).solve(p);
+  LpProblem relaxation{p.objective, p.rows, p.rhs,
+                       std::vector<double>(p.num_vars(), 1.0)};
+  EXPECT_EQ(root.lp_pivots, LpSolver().solve(relaxation).iterations);
+  EXPECT_GT(root.lp_pivots, 0);
+
+  for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
+    const IlpSolution s = exact_solver(engine).solve(p);
+    EXPECT_GT(s.nodes_explored, 1);
+    EXPECT_GT(s.lp_pivots, root.lp_pivots);
+  }
 }
 
 TEST(Infeasibility, NegativeRhsIsInfeasibleFromEverySolver) {
