@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <span>
 
 #include "lpvs/core/signaling.hpp"
 #include "lpvs/solver/solve_cache.hpp"
@@ -206,27 +207,47 @@ RunMetrics Emulator::run() {
   // streaming, exactly as a freshly attached scheduler would.
   std::vector<std::int8_t> pending_decision(n_devices, 0);
 
+  // Slot-loop buffers, reused across slots so a slot allocates only its
+  // fresh content.
+  std::vector<std::size_t> active;
+  // Each active device's slot video, owned by the CDN until the slot ends.
+  std::vector<const media::Video*> videos;
+  // Maps each active device to its row in problem.devices, or -1 when its
+  // report exchange failed: the edge cannot schedule a device it never
+  // heard from, so that device plays the slot untransformed while staying
+  // in the playback loop.  Without faults this is the identity.
+  std::vector<std::ptrdiff_t> problem_index;
+  // Every chunk is priced once per slot: row i holds the playback power of
+  // active[i]'s chunks, which feed the device's power_rates_mw, the true
+  // gamma and the battery drain alike.
+  const auto stride = static_cast<std::size_t>(config_.chunks_per_slot);
+  std::vector<double> rates(n_devices * stride);
+  core::SlotProblem problem;
+  problem.compute_capacity = config_.compute_capacity;
+  problem.storage_capacity = config_.storage_capacity_mb;
+  problem.lambda = config_.lambda;
+  // Remark-1 scratch: the played video after a mid-slot switch.
+  media::Video switched;
+  media::Video replacement;
+
   for (int slot = 0; slot < config_.slots; ++slot) {
     // --- (1) Information gathering ---------------------------------
-    std::vector<std::size_t> active;
-    std::vector<media::Video> videos;
-    // Maps each active device to its row in problem.devices, or -1 when
-    // its report exchange failed: the edge cannot schedule a device it
-    // never heard from, so that device plays the slot untransformed while
-    // staying in the playback loop.  Without faults this is the identity.
-    std::vector<std::ptrdiff_t> problem_index;
-    core::SlotProblem problem;
-    problem.compute_capacity = config_.compute_capacity;
-    problem.storage_capacity = config_.storage_capacity_mb;
-    problem.lambda = config_.lambda;
+    active.clear();
+    videos.clear();
+    problem_index.clear();
+    std::size_t scheduled = 0;  // rows of problem.devices filled this slot
     long slot_chunks_available = 0;
 
     for (std::size_t n = 0; n < n_devices; ++n) {
       DeviceState& device = devices_[n];
       if (!device.watching || device.battery.empty()) continue;
 
-      media::Video video = slot_video(device, slot);
-      cdn.publish(video);
+      const media::Video& video = cdn.publish(slot_video(device, slot));
+      assert(video.chunks.size() == stride);
+      double* const video_rates = rates.data() + active.size() * stride;
+      for (std::size_t k = 0; k < stride; ++k) {
+        video_rates[k] = estimator_.rate(device.spec, video.chunks[k]).value;
+      }
       common::Rng slot_rng = derived_rng(config_.seed ^ 0xF00Du,
                                          device.id.value,
                                          static_cast<std::uint64_t>(slot));
@@ -299,21 +320,21 @@ RunMetrics Emulator::run() {
       if (!report_delivered) {
         problem_index.push_back(-1);
         active.push_back(n);
-        videos.push_back(std::move(video));
+        videos.push_back(&video);
         continue;
       }
 
-      core::DeviceSlotInput input;
+      // A reused row: every field is assigned below.
+      if (scheduled == problem.devices.size()) problem.devices.emplace_back();
+      core::DeviceSlotInput& input = problem.devices[scheduled];
       input.id = device.id;
       // Price only the chunks available at the edge (Fig. 4): the paper
       // estimates power rates over the available window.
-      const std::size_t known = std::max<std::size_t>(request.chunk_count(),
-                                                      1);
-      input.power_rates_mw.reserve(known);
-      input.chunk_durations_s.reserve(known);
-      for (std::size_t k = 0; k < known && k < video.chunks.size(); ++k) {
-        input.power_rates_mw.push_back(
-            estimator_.rate(device.spec, video.chunks[k]).value);
+      const std::size_t known =
+          std::min(std::max<std::size_t>(request.chunk_count(), 1), stride);
+      input.power_rates_mw.assign(video_rates, video_rates + known);
+      input.chunk_durations_s.clear();
+      for (std::size_t k = 0; k < known; ++k) {
         input.chunk_durations_s.push_back(video.chunks[k].duration.value);
       }
       input.initial_energy_mwh = device.battery.remaining().value;
@@ -346,18 +367,19 @@ RunMetrics Emulator::run() {
           input.gamma = device.estimator.prior().mean;
           break;
         case GammaMode::kOracle:
-          input.gamma = engine_.video_gamma(device.spec, video);
+          input.gamma = engine_.video_gamma(
+              device.spec, video, std::span<const double>(video_rates, stride));
           break;
       }
       input.compute_cost = resources.compute_cost(device.spec, video);
       input.storage_cost = resources.storage_cost(video);
+      input.sla_weight = 1.0;  // standard tier
 
-      problem_index.push_back(
-          static_cast<std::ptrdiff_t>(problem.devices.size()));
-      problem.devices.push_back(std::move(input));
+      problem_index.push_back(static_cast<std::ptrdiff_t>(scheduled++));
       active.push_back(n);
-      videos.push_back(std::move(video));
+      videos.push_back(&video);
     }
+    problem.devices.resize(scheduled);
 
     if (active.empty()) break;
 
@@ -390,7 +412,8 @@ RunMetrics Emulator::run() {
     // --- (3) Transforming & playback -------------------------------
     for (std::size_t i = 0; i < active.size(); ++i) {
       DeviceState& device = devices_[active[i]];
-      media::Video video = videos[i];
+      const media::Video* video = videos[i];
+      double* const video_rates = rates.data() + i * stride;
       // One-slot-ahead: execute last slot's decision; record this slot's
       // for the next.  Otherwise execute immediately.  A device whose
       // report never reached the edge (problem_index -1) was not in the
@@ -413,26 +436,34 @@ RunMetrics Emulator::run() {
             config_.seed ^ 0x5717C4u, device.id.value,
             static_cast<std::uint64_t>(slot));
         if (switch_rng.bernoulli(config_.switch_probability) &&
-            video.chunks.size() > 1) {
+            video->chunks.size() > 1) {
           const auto cut = static_cast<std::size_t>(switch_rng.uniform_int(
-              1, static_cast<std::int64_t>(video.chunks.size()) - 1));
+              1, static_cast<std::int64_t>(video->chunks.size()) - 1));
           const auto new_genre = static_cast<media::Genre>(
               switch_rng.uniform_int(0, media::kGenreCount - 1));
           media::ContentGenerator other(switch_rng());
-          const media::Video replacement = other.generate(
-              common::VideoId{video.id.value + 50000u}, new_genre,
-              static_cast<int>(video.chunks.size() - cut),
-              device.bitrate_mbps,
-              common::Seconds{config_.chunk_seconds});
-          for (std::size_t k = cut; k < video.chunks.size(); ++k) {
-            video.chunks[k] = replacement.chunks[k - cut];
-            video.chunks[k].id =
+          other.generate_into(replacement,
+                              common::VideoId{video->id.value + 50000u},
+                              new_genre,
+                              static_cast<int>(video->chunks.size() - cut),
+                              device.bitrate_mbps,
+                              common::Seconds{config_.chunk_seconds});
+          // Only the switch path copies the video, and only the switched
+          // chunks are priced again.
+          switched = *video;
+          for (std::size_t k = cut; k < switched.chunks.size(); ++k) {
+            switched.chunks[k] = replacement.chunks[k - cut];
+            switched.chunks[k].id =
                 common::ChunkId{static_cast<std::uint32_t>(k)};
+            video_rates[k] =
+                estimator_.rate(device.spec, switched.chunks[k]).value;
           }
+          video = &switched;
         }
       }
 
-      const double true_gamma = engine_.video_gamma(device.spec, video);
+      const double true_gamma = engine_.video_gamma(
+          device.spec, *video, std::span<const double>(video_rates, stride));
       metrics.mean_true_gamma[active[i]] += true_gamma;
       ++true_gamma_samples[active[i]];
       if (selected) {
@@ -442,8 +473,9 @@ RunMetrics Emulator::run() {
         metrics.served[active[i]] = 1;
       }
 
-      for (const media::VideoChunk& chunk : video.chunks) {
-        const double rate = estimator_.rate(device.spec, chunk).value;
+      for (std::size_t k = 0; k < video->chunks.size(); ++k) {
+        const media::VideoChunk& chunk = video->chunks[k];
+        const double rate = video_rates[k];
         const double psi = selected ? (1.0 - true_gamma) * rate : rate;
         anxiety_accumulator += anxiety(device.battery.fraction());
         ++metrics.anxiety_samples;
@@ -516,6 +548,9 @@ RunMetrics Emulator::run() {
         }
       }
     }
+
+    // The catalog holds one slot of videos.
+    for (const media::Video* video : videos) cdn.retire(video->id);
 
     if (obs_slot_energy != nullptr) obs_slot_energy->observe(slot_energy_mwh);
     if (events != nullptr) {

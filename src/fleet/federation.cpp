@@ -362,6 +362,11 @@ void Federation::handle_crashes(int slot, FederationReport& report) {
           "Slots of posterior learning lost per restored session");
     }
     for (const SessionState& state : checkpoint.sessions) {
+      // A user handed off after the checkpoint now lives on another
+      // server; restoring the snapshot here would make two servers serve
+      // (and drain) one user.
+      const FleetUser& user = users_[static_cast<std::size_t>(state.user)];
+      if (!user.placed || user.server != id) continue;
       ServerSession session;
       session.estimator = bayes::GammaEstimator::from_state(state.gamma);
       session.nig = bayes::NigGammaEstimator::from_state(state.nig);
@@ -700,8 +705,11 @@ void Federation::serve_slot(int slot, FederationReport& report,
       FleetUser& user = users_[static_cast<std::size_t>(order[i])];
       ServerSession& session = edge.sessions[order[i]];
       const media::Video& video = videos[i];
+      // Every chunk was priced once, into the problem row.
+      const std::vector<double>& rates = problem.devices[i].power_rates_mw;
       const bool selected = schedule.x[i] != 0;
-      const double true_gamma = edge.engine.video_gamma(user.spec, video);
+      const double true_gamma =
+          edge.engine.video_gamma(user.spec, video, rates);
 
       session.last_assignment = selected ? 1 : 0;
       if (selected) {
@@ -709,8 +717,9 @@ void Federation::serve_slot(int slot, FederationReport& report,
         ++edge.slot_selected;
       }
 
-      for (const media::VideoChunk& chunk : video.chunks) {
-        const double rate = edge.estimator.rate(user.spec, chunk).value;
+      for (std::size_t k = 0; k < video.chunks.size(); ++k) {
+        const media::VideoChunk& chunk = video.chunks[k];
+        const double rate = rates[k];
         const double psi = selected ? (1.0 - true_gamma) * rate : rate;
         edge.slot_anxiety += anxiety(user.battery.fraction());
         ++edge.slot_anxiety_samples;

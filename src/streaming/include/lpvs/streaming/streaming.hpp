@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -39,7 +38,14 @@ struct ChunkRequest {
 /// CDN Point-of-Presence: authoritative store of whole videos.
 class CdnServer {
  public:
-  void publish(media::Video video);
+  /// Stores (or replaces) a video; returns the stored copy, stable until
+  /// the video is retired or re-published.
+  const media::Video& publish(media::Video video);
+
+  /// Drops a video from the catalog (a no-op when it is not there).  A
+  /// publisher that replaces its videos every slot retires the old ones so
+  /// the catalog stays one slot deep.
+  void retire(common::VideoId id);
 
   const media::Video* find(common::VideoId id) const;
   std::size_t catalog_size() const { return catalog_.size(); }
@@ -52,6 +58,12 @@ class CdnServer {
 };
 
 /// Byte-budgeted LRU chunk cache at the edge.
+///
+/// Entries live in a slab of nodes threaded on an intrusive recency list
+/// (prev/next slab indices) with a free list, and an open-addressed index
+/// (linear probing, backward-shift deletion) maps each key to its node.
+/// Once the slab and the index have grown to the working set, inserts,
+/// touches and evictions allocate nothing.
 class EdgeCache {
  public:
   explicit EdgeCache(double capacity_mb);
@@ -68,33 +80,46 @@ class EdgeCache {
 
   double used_mb() const { return used_mb_; }
   double capacity_mb() const { return capacity_mb_; }
-  std::size_t entries() const { return lru_.size(); }
+  std::size_t entries() const { return entries_; }
   std::size_t evictions() const { return evictions_; }
 
  private:
-  struct Key {
-    std::uint32_t video;
-    std::uint32_t chunk;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.video) << 32) | k.chunk);
-    }
-  };
-  struct Entry {
-    Key key;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  struct Node {
+    std::uint64_t key;
     double size_mb;
+    std::uint32_t prev;  ///< toward the most recent end
+    std::uint32_t next;  ///< toward the least recent end; free-list link
+  };
+  /// One index bucket; node == kNil marks it empty.
+  struct Bucket {
+    std::uint64_t key;
+    std::uint32_t node;
   };
 
+  static std::uint64_t make_key(common::VideoId video, common::ChunkId chunk) {
+    return (static_cast<std::uint64_t>(video.value) << 32) | chunk.value;
+  }
+  std::size_t home(std::uint64_t key) const;
+  /// Bucket holding `key`, or the empty bucket where it would go.
+  std::size_t probe(std::uint64_t key) const;
+  void index_erase(std::size_t bucket);
+  void grow_index();
+  void unlink(std::uint32_t node);
+  void link_front(std::uint32_t node);
   void evict_one();
 
   double capacity_mb_;
   double used_mb_ = 0.0;
   std::size_t evictions_ = 0;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  std::size_t entries_ = 0;
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = kNil;
+  std::uint32_t head_ = kNil;  ///< most recent
+  std::uint32_t tail_ = kNil;  ///< least recent
+  std::vector<Bucket> index_;  ///< power-of-two size, at most half full
+  int index_shift_ = 64;       ///< 64 - log2(index_.size())
 };
 
 /// Simple look-ahead prefetcher: pulls the next `window` chunks of every

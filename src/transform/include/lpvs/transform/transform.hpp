@@ -11,6 +11,7 @@
 // the effective power rate is (1 - gamma) * p.  See DESIGN.md.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,15 @@ class TransformEngine {
   /// that feeds the Bayesian update at the end of a slot (SV-D).
   double video_gamma(const display::DisplaySpec& spec,
                      const media::Video& video) const;
+
+  /// The same gamma from already-priced chunks: `playback_mw[k]` must be
+  /// the untransformed playback power of chunk k (what
+  /// media::PowerRateEstimator::rate returns under this engine's device
+  /// model).  Same sums in the same order, so the result is bit-identical
+  /// to the two-argument form without pricing any chunk again.
+  double video_gamma(const display::DisplaySpec& spec,
+                     const media::Video& video,
+                     std::span<const double> playback_mw) const;
 
   const display::DevicePowerModel& device_model() const {
     return device_model_;

@@ -85,24 +85,47 @@ double TransformEngine::chunk_gamma(const display::DisplaySpec& spec,
   return std::clamp(saved / total, 0.0, 1.0);
 }
 
-double TransformEngine::video_gamma(const display::DisplaySpec& spec,
-                                    const media::Video& video) const {
-  if (video.chunks.empty()) return 0.0;
-  // Energy-weighted average: gamma over a slot is total energy saved over
-  // total energy that would have been drawn untransformed.
+namespace {
+
+/// Energy-weighted average: gamma over a slot is total energy saved over
+/// total energy that would have been drawn untransformed.  `playback_mw(k)`
+/// is chunk k's untransformed playback power.
+template <typename PlaybackMw>
+double weighted_video_gamma(const TransformEngine& engine,
+                            const display::DisplaySpec& spec,
+                            const media::Video& video,
+                            PlaybackMw playback_mw) {
   double saved_mwh = 0.0;
   double base_mwh = 0.0;
-  for (const media::VideoChunk& chunk : video.chunks) {
-    const double total =
-        device_model_.playback_power(spec, chunk.stats, chunk.bitrate_mbps)
-            .value;
-    const ChunkTransform result = transform_chunk(spec, chunk);
+  for (std::size_t k = 0; k < video.chunks.size(); ++k) {
+    const media::VideoChunk& chunk = video.chunks[k];
+    const double total = playback_mw(k);
+    const ChunkTransform result = engine.transform_chunk(spec, chunk);
     const double saved = result.display_power_before.value -
                          result.display_power_after.value;
     base_mwh += total * chunk.duration.value;
     saved_mwh += saved * chunk.duration.value;
   }
   return base_mwh > 0.0 ? std::clamp(saved_mwh / base_mwh, 0.0, 1.0) : 0.0;
+}
+
+}  // namespace
+
+double TransformEngine::video_gamma(const display::DisplaySpec& spec,
+                                    const media::Video& video) const {
+  return weighted_video_gamma(*this, spec, video, [&](std::size_t k) {
+    const media::VideoChunk& chunk = video.chunks[k];
+    return device_model_.playback_power(spec, chunk.stats, chunk.bitrate_mbps)
+        .value;
+  });
+}
+
+double TransformEngine::video_gamma(const display::DisplaySpec& spec,
+                                    const media::Video& video,
+                                    std::span<const double> playback_mw) const {
+  assert(playback_mw.size() >= video.chunks.size());
+  return weighted_video_gamma(*this, spec, video,
+                              [&](std::size_t k) { return playback_mw[k]; });
 }
 
 StrategyRegistry::StrategyRegistry(std::vector<StrategyEntry> entries)

@@ -168,6 +168,36 @@ TEST(FleetFailover, StaleCheckpointsLoseSharpnessNotCorrectness) {
   EXPECT_EQ(replay.failovers, report.failovers);
 }
 
+// A stale checkpoint can list users that were handed off after it was
+// taken.  Failover restores only sessions whose user is still placed on
+// the crashed server; restoring the others would leave two servers serving
+// one user, with two serve threads draining one battery.  The run must
+// therefore be one pure function of its inputs at any thread count.
+TEST(FleetFailover, StaleCheckpointWithHandoffsIsThreadCountInvariant) {
+  fleet::FederationConfig config = failover_config();
+  config.checkpoint_interval = 4;
+  config.mobility_rate = 0.05;
+  const core::RunContext base(anxiety());
+
+  config.threads = 1;
+  const fault::FaultInjector serial_injector(crash_only(901, 0.10));
+  const fleet::FederationReport serial =
+      run_federation(config, base.with_fault_injector(&serial_injector));
+  EXPECT_GT(serial.failovers, 0);
+  EXPECT_GT(serial.handoffs, 0);
+
+  config.threads = 2;
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    const fault::FaultInjector injector(crash_only(901, 0.10));
+    const fleet::FederationReport parallel =
+        run_federation(config, base.with_fault_injector(&injector));
+    EXPECT_EQ(parallel.state_digest, serial.state_digest)
+        << "repeat " << repeat;
+    EXPECT_EQ(parallel.total_energy_mwh, serial.total_energy_mwh);
+    EXPECT_EQ(parallel.failovers, serial.failovers);
+  }
+}
+
 TEST(FleetFailover, DisabledCheckpointingFallsBackToColdRestarts) {
   fleet::FederationConfig config = failover_config();
   config.slots = 60;

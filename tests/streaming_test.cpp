@@ -2,6 +2,12 @@
 // prefetcher, chunk availability (Fig. 4) and edge capacity arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <list>
+
+#include "lpvs/common/rng.hpp"
 #include "lpvs/media/video.hpp"
 #include "lpvs/streaming/streaming.hpp"
 
@@ -31,6 +37,22 @@ TEST(Cdn, RepublishReplaces) {
   cdn.publish(make_video(1, 20));
   EXPECT_EQ(cdn.catalog_size(), 1u);
   EXPECT_EQ(cdn.find(common::VideoId{1})->chunks.size(), 20u);
+}
+
+TEST(Cdn, RetireDropsOnlyThatVideo) {
+  CdnServer cdn;
+  cdn.publish(make_video(1, 10));
+  cdn.publish(make_video(2, 5));
+  cdn.retire(common::VideoId{1});
+  EXPECT_EQ(cdn.catalog_size(), 1u);
+  EXPECT_EQ(cdn.find(common::VideoId{1}), nullptr);
+  ASSERT_NE(cdn.find(common::VideoId{2}), nullptr);
+  EXPECT_EQ(cdn.find(common::VideoId{2})->chunks.size(), 5u);
+  cdn.retire(common::VideoId{99});  // unknown: no-op
+  EXPECT_EQ(cdn.catalog_size(), 1u);
+  cdn.publish(make_video(1, 3));  // a retired id can be published again
+  ASSERT_NE(cdn.find(common::VideoId{1}), nullptr);
+  EXPECT_EQ(cdn.find(common::VideoId{1})->chunks.size(), 3u);
 }
 
 TEST(Cdn, ChunkIdsListsAll) {
@@ -98,6 +120,148 @@ TEST(Cache, ReinsertRefreshesWithoutDoubleCount) {
 TEST(Cache, TouchMissReturnsFalse) {
   EdgeCache cache(10.0);
   EXPECT_FALSE(cache.touch(common::VideoId{1}, common::ChunkId{0}));
+}
+
+/// Reference LRU the cache must match step for step: a std::list with the
+/// most recent entry in front, the same byte accounting in the same order.
+class ReferenceLru {
+ public:
+  struct Entry {
+    std::uint64_t key;
+    double size_mb;
+  };
+
+  explicit ReferenceLru(double capacity_mb) : capacity_mb_(capacity_mb) {}
+
+  bool insert(std::uint64_t key, double size_mb) {
+    if (refresh(key)) return true;
+    if (size_mb > capacity_mb_) return false;
+    while (used_mb_ + size_mb > capacity_mb_) {
+      used_mb_ -= lru_.back().size_mb;
+      lru_.pop_back();
+      ++evictions_;
+    }
+    lru_.push_front(Entry{key, size_mb});
+    used_mb_ += size_mb;
+    return true;
+  }
+
+  bool refresh(std::uint64_t key) {
+    const auto it = find(key);
+    if (it == lru_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it);
+    return true;
+  }
+
+  bool contains(std::uint64_t key) const {
+    return std::any_of(lru_.begin(), lru_.end(),
+                       [key](const Entry& e) { return e.key == key; });
+  }
+
+  const std::list<Entry>& entries_in_order() const { return lru_; }
+
+  double used_mb() const { return used_mb_; }
+  std::size_t entries() const { return lru_.size(); }
+  std::size_t evictions() const { return evictions_; }
+
+ private:
+  std::list<Entry>::iterator find(std::uint64_t key) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                         [key](const Entry& e) { return e.key == key; });
+  }
+
+  double capacity_mb_;
+  double used_mb_ = 0.0;
+  std::size_t evictions_ = 0;
+  std::list<Entry> lru_;
+};
+
+/// Seeded random insert/touch/contains sequences over a key pool larger
+/// than the cache; after every operation the cache must agree with the
+/// reference on the key's presence, the entry and eviction counts, and
+/// the bits of used_mb() (same additions and subtractions, same order).
+void check_against_reference(double capacity_mb, int videos,
+                             std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity_mb);
+  EdgeCache cache(capacity_mb);
+  ReferenceLru reference(capacity_mb);
+  common::Rng rng(seed);
+
+  // Keys shaped like the emulator's: video = device * 100000 + slot.
+  constexpr int kChunks = 64;
+  const auto video_of = [](int v) {
+    return common::VideoId{static_cast<std::uint32_t>(v * 100000 + 7)};
+  };
+  const auto key_of = [&](common::VideoId video, common::ChunkId chunk) {
+    return (static_cast<std::uint64_t>(video.value) << 32) | chunk.value;
+  };
+  const double rates[] = {1.8, 2.5, 3.5, 5.0, 8.0};
+
+  long rejects = 0;
+  long refreshes = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const int v = static_cast<int>(rng.uniform_int(0, videos - 1));
+    const common::VideoId video = video_of(v);
+    const common::ChunkId chunk{
+        static_cast<std::uint32_t>(rng.uniform_int(0, kChunks - 1))};
+    const std::uint64_t key = key_of(video, chunk);
+    const double action = rng.uniform();
+    if (action < 0.6) {
+      media::VideoChunk c;
+      c.id = chunk;
+      // A chunk's size is a function of its key, except for the rare
+      // oversize chunk that no cache of this capacity can hold.
+      c.bitrate_mbps = rates[static_cast<std::size_t>(v) % std::size(rates)];
+      c.duration = common::Seconds{2.0 + static_cast<double>(chunk.value % 5)};
+      if (rng.bernoulli(0.01)) {
+        c.duration = common::Seconds{1.5 * capacity_mb * 8.0 / c.bitrate_mbps};
+      }
+      const double size_mb = c.bitrate_mbps * c.duration.value / 8.0;
+      if (reference.contains(key)) ++refreshes;
+      const bool accepted = reference.insert(key, size_mb);
+      const common::Status status = cache.insert(video, c);
+      ASSERT_EQ(status.ok(), accepted) << "op " << op;
+      if (!accepted) {
+        ++rejects;
+        EXPECT_EQ(status.code(), common::StatusCode::kResourceExhausted);
+      }
+    } else if (action < 0.8) {
+      ASSERT_EQ(cache.touch(video, chunk), reference.refresh(key))
+          << "op " << op;
+    }
+    ASSERT_EQ(cache.contains(video, chunk), reference.contains(key))
+        << "op " << op;
+    ASSERT_EQ(cache.entries(), reference.entries()) << "op " << op;
+    ASSERT_EQ(cache.evictions(), reference.evictions()) << "op " << op;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cache.used_mb()),
+              std::bit_cast<std::uint64_t>(reference.used_mb()))
+        << "op " << op;
+    if (op % 1000 == 999) {
+      // Equal counts and every reference key cached: the same key set.
+      for (const ReferenceLru::Entry& e : reference.entries_in_order()) {
+        ASSERT_TRUE(cache.contains(
+            common::VideoId{static_cast<std::uint32_t>(e.key >> 32)},
+            common::ChunkId{static_cast<std::uint32_t>(e.key)}))
+            << "op " << op;
+      }
+    }
+  }
+  EXPECT_GT(rejects, 0);
+  EXPECT_GT(refreshes, 0);
+  EXPECT_GT(cache.evictions(), 0u);
+}
+
+TEST(Cache, MatchesReferenceLruAtSmallCapacity) {
+  check_against_reference(9.0, /*videos=*/48, 1);
+}
+
+TEST(Cache, MatchesReferenceLruAtMediumCapacity) {
+  check_against_reference(64.0, /*videos=*/48, 2);
+}
+
+TEST(Cache, MatchesReferenceLruAtEmulatorCapacity) {
+  // A pool several times the cache, so thousands of entries churn.
+  check_against_reference(8192.0, /*videos=*/512, 3);
 }
 
 TEST(PrefetcherTest, PullsWindowFromCdn) {

@@ -2,7 +2,10 @@
 // the realized gamma bands, the Table I registry, and edge resource costs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "lpvs/common/stats.hpp"
 #include "lpvs/media/video.hpp"
@@ -202,6 +205,32 @@ TEST(TransformEngine, VideoGammaIsEnergyWeightedChunkGamma) {
              chunk.duration.value;
   }
   EXPECT_NEAR(engine.video_gamma(oled_spec(), video), saved / base, 1e-9);
+}
+
+TEST(TransformEngine, PricedVideoGammaIsBitIdentical) {
+  // The priced overload must do the same sums in the same order as the
+  // form that prices every chunk itself.
+  const TransformEngine engine;
+  const media::PowerRateEstimator estimator(engine.device_model());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    media::ContentGenerator generator(seed);
+    for (int g = 0; g < media::kGenreCount; ++g) {
+      const media::Video video = generator.generate(
+          common::VideoId{static_cast<std::uint32_t>(g)},
+          static_cast<media::Genre>(g), 30, 1.8 + 0.7 * g);
+      for (const display::DisplaySpec& spec : {lcd_spec(), oled_spec()}) {
+        std::vector<double> rates;
+        for (const media::VideoChunk& chunk : video.chunks) {
+          rates.push_back(estimator.rate(spec, chunk).value);
+        }
+        const double priced = engine.video_gamma(spec, video, rates);
+        const double unpriced = engine.video_gamma(spec, video);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(priced),
+                  std::bit_cast<std::uint64_t>(unpriced));
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(engine.video_gamma(lcd_spec(), media::Video{}, {}), 0.0);
 }
 
 TEST(StrategyRegistryTest, ReproducesTable1) {
