@@ -152,4 +152,14 @@ class Rng {
   double spare_ = 0.0;
 };
 
+/// Independent deterministic stream for a (seed, a, b) triple, typically
+/// (seed, entity, slot).  All per-entity-per-slot randomness (content,
+/// device draws, prefetch windows, gamma observation noise, client
+/// behavior) comes from such streams, so results never depend on iteration
+/// order, thread count, or which server or worker handles the entity.
+inline Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
+  return Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
+             (b + 1) * 0xC2B2AE3D27D4EB4FULL);
+}
+
 }  // namespace lpvs::common

@@ -1,0 +1,90 @@
+// The slot kernel: the per-slot decisions that every slot loop — the
+// emulator (emu::Emulator), the federation (fleet::Federation) and the
+// serving daemon's worker — must make the same way (SVI-B): the content a
+// user watches, its per-chunk power rates p(kappa) and edge costs (SIV-B),
+// the playback drain, and the end-of-slot gamma observation (SV-D).
+//
+// A row's battery energy and gamma stay with the caller, because they
+// really differ between callers: the battery object, a reported or a
+// device-side fraction, the one-slot-ahead prediction, the GammaMode.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <span>
+
+#include "lpvs/battery/battery.hpp"
+#include "lpvs/bayes/gamma_estimator.hpp"
+#include "lpvs/bayes/nig_estimator.hpp"
+#include "lpvs/core/slot_problem.hpp"
+#include "lpvs/display/display.hpp"
+#include "lpvs/fault/fault_injector.hpp"
+#include "lpvs/media/video.hpp"
+#include "lpvs/survey/lba_curve.hpp"
+
+namespace lpvs::core {
+
+/// Writes the video `user` watches in `slot` into `out`: a pure function of
+/// (seed, user, slot), so paired runs, any server and any worker see the
+/// same chunks.
+void slot_video_into(media::Video& out, std::uint64_t seed,
+                     std::uint64_t user, std::uint64_t slot,
+                     media::Genre genre, int chunks, double bitrate_mbps,
+                     double chunk_s);
+
+/// Prices each chunk once: rates[k] = p(chunks[k]) on `spec`, in mW.
+void price_chunks(const display::DisplaySpec& spec,
+                  std::span<const media::VideoChunk> chunks,
+                  std::span<double> rates);
+
+/// Fills a scheduler row's content-derived fields: the id, the rates of
+/// the first rates.size() chunks and their durations, the edge costs g(d)
+/// and h(d), and the standard SLA tier.
+void fill_slot_row(DeviceSlotInput& row, common::DeviceId id,
+                   const display::DisplaySpec& spec, const media::Video& video,
+                   std::span<const double> rates);
+
+enum class PlaybackEnd { kWatching, kDepleted, kGaveUp };
+
+/// Plays one slot on `battery`.  Per chunk: samples the anxiety at the
+/// battery fraction, drains psi = (1 - gamma) p if transformed (p
+/// otherwise), and stops on depletion, then at `giveup_percent` (0: never).
+/// Each chunk adds to the accumulators in that order and hands its drawn
+/// mWh to `on_drawn`, so callers keep their floating-point summation order.
+template <typename OnDrawn>
+PlaybackEnd play_slot(battery::Battery& battery, const media::Video& video,
+                      std::span<const double> rates, bool transformed,
+                      double true_gamma, int giveup_percent,
+                      const survey::AnxietyModel& anxiety,
+                      double& anxiety_sum, long& anxiety_samples,
+                      double& watch_minutes, OnDrawn&& on_drawn) {
+  for (std::size_t k = 0; k < video.chunks.size(); ++k) {
+    const common::Seconds duration = video.chunks[k].duration;
+    const double psi = transformed ? (1.0 - true_gamma) * rates[k] : rates[k];
+    anxiety_sum += anxiety(battery.fraction());
+    ++anxiety_samples;
+    on_drawn(battery.drain(common::Milliwatts{psi}, duration).value);
+    watch_minutes += duration.value / 60.0;
+    if (battery.empty()) return PlaybackEnd::kDepleted;
+    if (giveup_percent > 0 &&
+        battery.percent() <= static_cast<double>(giveup_percent)) {
+      return PlaybackEnd::kGaveUp;
+    }
+  }
+  return PlaybackEnd::kWatching;
+}
+
+/// The end-of-slot observation of a transformed stream's realized saving,
+/// with measurement noise keyed on (seed, user, slot) so every server
+/// observing the user draws the same noise.  It crosses the kBayesReport
+/// fault site: a drop loses it (returns nullopt, the posteriors do not
+/// move), a corruption garbles it.  A delivered observation updates both
+/// posteriors and is returned.
+std::optional<double> observe_gamma(bayes::GammaEstimator& gamma,
+                                    bayes::NigGammaEstimator& nig,
+                                    double true_gamma, double noise_std,
+                                    std::uint64_t seed, std::uint64_t user,
+                                    std::uint64_t slot,
+                                    const fault::FaultInjector* faults);
+
+}  // namespace lpvs::core

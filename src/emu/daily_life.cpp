@@ -7,6 +7,7 @@
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/batch_scheduler.hpp"
+#include "lpvs/core/slot_kernel.hpp"
 #include "lpvs/core/slot_problem.hpp"
 #include "lpvs/media/video.hpp"
 
@@ -36,7 +37,6 @@ struct UserState {
 std::vector<UserState> build_users(const DailyLifeConfig& config,
                                    common::Rng& rng) {
   const auto& catalog = display::DeviceCatalog::standard();
-  const media::PowerRateEstimator estimator;
   const transform::TransformEngine engine;
 
   const survey::SyntheticPopulation population;
@@ -60,10 +60,10 @@ std::vector<UserState> build_users(const DailyLifeConfig& config,
     const media::Video sample_video = content.generate(
         common::VideoId{static_cast<std::uint32_t>(u)}, user.genre, 30,
         3.0);
+    std::vector<double> rates(sample_video.chunks.size());
+    core::price_chunks(user.spec, sample_video.chunks, rates);
     double mw = 0.0;
-    for (const auto& chunk : sample_video.chunks) {
-      mw += estimator.rate(user.spec, chunk).value;
-    }
+    for (const double rate : rates) mw += rate;
     user.playback_mw = mw / static_cast<double>(sample_video.chunks.size());
     user.gamma = engine.video_gamma(user.spec, sample_video);
     // Extra draws past the original sequence, so the coin-flip path's

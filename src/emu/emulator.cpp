@@ -7,20 +7,15 @@
 #include <span>
 
 #include "lpvs/core/signaling.hpp"
+#include "lpvs/core/slot_kernel.hpp"
 #include "lpvs/solver/solve_cache.hpp"
 
 namespace lpvs::emu {
 namespace {
 
-/// Independent deterministic stream for a (seed, device, slot) triple.
-/// All per-device-per-slot randomness (content, prefetch window, gamma
-/// observation noise) comes from such streams so that paired runs with
-/// different schedulers see byte-identical worlds even when devices drop
-/// out at different times.
-common::Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
+// Paired runs with different schedulers see byte-identical worlds even
+// when devices drop out at different times.
+using common::derived_rng;
 
 constexpr double kBitrateLadder[] = {1.8, 2.5, 3.5, 5.0};
 
@@ -43,8 +38,7 @@ Emulator::Emulator(EmulatorConfig config, const core::Scheduler& scheduler,
                    core::RunContext context)
     : config_(config),
       scheduler_(scheduler),
-      context_(context),
-      rng_(config.seed) {
+      context_(context) {
   assert(config_.group_size > 0);
   assert(config_.slots > 0);
   assert(config_.chunks_per_slot > 0);
@@ -85,20 +79,6 @@ void Emulator::setup_devices() {
   }
 }
 
-media::Video Emulator::slot_video(const DeviceState& device, int slot) {
-  // Content is a pure function of (seed, device, slot): paired runs see
-  // identical chunks.
-  common::Rng content_seed_rng =
-      derived_rng(config_.seed, device.id.value,
-                  static_cast<std::uint64_t>(slot));
-  media::ContentGenerator generator(content_seed_rng());
-  const auto vid = common::VideoId{static_cast<std::uint32_t>(
-      device.id.value * 100000u + static_cast<std::uint32_t>(slot))};
-  return generator.generate(vid, device.genre, config_.chunks_per_slot,
-                            device.bitrate_mbps,
-                            common::Seconds{config_.chunk_seconds});
-}
-
 RunMetrics Emulator::run() {
   setup_devices();
 
@@ -116,7 +96,6 @@ RunMetrics Emulator::run() {
 
   streaming::CdnServer cdn;
   streaming::EdgeCache cache(/*capacity_mb=*/8.0 * 1024.0);
-  const transform::ResourceModel resources;
   const survey::AnxietyModel& anxiety = context_.anxiety_model();
 
   // Observability handles, resolved once (names are looked up under the
@@ -242,12 +221,16 @@ RunMetrics Emulator::run() {
       DeviceState& device = devices_[n];
       if (!device.watching || device.battery.empty()) continue;
 
-      const media::Video& video = cdn.publish(slot_video(device, slot));
+      media::Video fresh;
+      core::slot_video_into(fresh, config_.seed, device.id.value,
+                            static_cast<std::uint64_t>(slot), device.genre,
+                            config_.chunks_per_slot, device.bitrate_mbps,
+                            config_.chunk_seconds);
+      const media::Video& video = cdn.publish(std::move(fresh));
       assert(video.chunks.size() == stride);
-      double* const video_rates = rates.data() + active.size() * stride;
-      for (std::size_t k = 0; k < stride; ++k) {
-        video_rates[k] = estimator_.rate(device.spec, video.chunks[k]).value;
-      }
+      const std::span<double> video_rates(rates.data() + active.size() * stride,
+                                          stride);
+      core::price_chunks(device.spec, video.chunks, video_rates);
       common::Rng slot_rng = derived_rng(config_.seed ^ 0xF00Du,
                                          device.id.value,
                                          static_cast<std::uint64_t>(slot));
@@ -327,16 +310,12 @@ RunMetrics Emulator::run() {
       // A reused row: every field is assigned below.
       if (scheduled == problem.devices.size()) problem.devices.emplace_back();
       core::DeviceSlotInput& input = problem.devices[scheduled];
-      input.id = device.id;
       // Price only the chunks available at the edge (Fig. 4): the paper
       // estimates power rates over the available window.
       const std::size_t known =
           std::min(std::max<std::size_t>(request.chunk_count(), 1), stride);
-      input.power_rates_mw.assign(video_rates, video_rates + known);
-      input.chunk_durations_s.clear();
-      for (std::size_t k = 0; k < known; ++k) {
-        input.chunk_durations_s.push_back(video.chunks[k].duration.value);
-      }
+      core::fill_slot_row(input, device.id, device.spec, video,
+                          video_rates.first(known));
       input.initial_energy_mwh = device.battery.remaining().value;
       input.battery_capacity_mwh = device.battery.capacity().value;
       if (config_.one_slot_ahead) {
@@ -367,13 +346,9 @@ RunMetrics Emulator::run() {
           input.gamma = device.estimator.prior().mean;
           break;
         case GammaMode::kOracle:
-          input.gamma = engine_.video_gamma(
-              device.spec, video, std::span<const double>(video_rates, stride));
+          input.gamma = engine_.video_gamma(device.spec, video, video_rates);
           break;
       }
-      input.compute_cost = resources.compute_cost(device.spec, video);
-      input.storage_cost = resources.storage_cost(video);
-      input.sla_weight = 1.0;  // standard tier
 
       problem_index.push_back(static_cast<std::ptrdiff_t>(scheduled++));
       active.push_back(n);
@@ -413,7 +388,7 @@ RunMetrics Emulator::run() {
     for (std::size_t i = 0; i < active.size(); ++i) {
       DeviceState& device = devices_[active[i]];
       const media::Video* video = videos[i];
-      double* const video_rates = rates.data() + i * stride;
+      const std::span<double> video_rates(rates.data() + i * stride, stride);
       // One-slot-ahead: execute last slot's decision; record this slot's
       // for the next.  Otherwise execute immediately.  A device whose
       // report never reached the edge (problem_index -1) was not in the
@@ -455,97 +430,70 @@ RunMetrics Emulator::run() {
             switched.chunks[k] = replacement.chunks[k - cut];
             switched.chunks[k].id =
                 common::ChunkId{static_cast<std::uint32_t>(k)};
-            video_rates[k] =
-                estimator_.rate(device.spec, switched.chunks[k]).value;
           }
+          core::price_chunks(device.spec,
+                             std::span(switched.chunks).subspan(cut),
+                             video_rates.subspan(cut));
           video = &switched;
         }
       }
 
-      const double true_gamma = engine_.video_gamma(
-          device.spec, *video, std::span<const double>(video_rates, stride));
+      const double true_gamma =
+          engine_.video_gamma(device.spec, *video, video_rates);
       metrics.mean_true_gamma[active[i]] += true_gamma;
       ++true_gamma_samples[active[i]];
       if (selected) {
-        device.ever_served = true;
-        ++device.slots_served;
         ++metrics.total_selected;
         metrics.served[active[i]] = 1;
       }
 
-      for (std::size_t k = 0; k < video->chunks.size(); ++k) {
-        const media::VideoChunk& chunk = video->chunks[k];
-        const double rate = video_rates[k];
-        const double psi = selected ? (1.0 - true_gamma) * rate : rate;
-        anxiety_accumulator += anxiety(device.battery.fraction());
-        ++metrics.anxiety_samples;
-        const common::MilliwattHours drawn = device.battery.drain(
-            common::Milliwatts{psi}, chunk.duration);
-        metrics.total_energy_mwh += drawn.value;
-        slot_energy_mwh += drawn.value;
-        device.watch_minutes += chunk.duration.value / 60.0;
-        if (device.battery.empty()) {
-          device.watching = false;
-          if (obs_depleted != nullptr) obs_depleted->add(1);
-          break;
-        }
-        if (config_.enable_giveup && device.giveup_percent > 0 &&
-            device.battery.percent() <=
-                static_cast<double>(device.giveup_percent)) {
-          device.watching = false;  // the user gives up on the video
-          if (obs_giveups != nullptr) obs_giveups->add(1);
-          if (events != nullptr) {
-            events->record(
-                {obs::EventKind::kGiveUp, slot,
-                 static_cast<int>(device.id.value),
-                 {{"battery_percent", device.battery.percent()},
-                  {"watch_minutes", device.watch_minutes}}});
-          }
-          break;
+      const core::PlaybackEnd end = core::play_slot(
+          device.battery, *video, video_rates, selected, true_gamma,
+          config_.enable_giveup ? device.giveup_percent : 0, anxiety,
+          anxiety_accumulator, metrics.anxiety_samples, device.watch_minutes,
+          [&](double drawn_mwh) {
+            metrics.total_energy_mwh += drawn_mwh;
+            slot_energy_mwh += drawn_mwh;
+          });
+      if (end != core::PlaybackEnd::kWatching) device.watching = false;
+      if (end == core::PlaybackEnd::kDepleted && obs_depleted != nullptr) {
+        obs_depleted->add(1);
+      }
+      if (end == core::PlaybackEnd::kGaveUp) {
+        if (obs_giveups != nullptr) obs_giveups->add(1);
+        if (events != nullptr) {
+          events->record({obs::EventKind::kGiveUp, slot,
+                          static_cast<int>(device.id.value),
+                          {{"battery_percent", device.battery.percent()},
+                           {"watch_minutes", device.watch_minutes}}});
         }
       }
 
-      // End-of-slot gamma observation (SV-D): the realized per-slot power
-      // reduction, noisy because measurement happens on a live device.
-      if (selected) {
-        common::Rng noise_rng = derived_rng(config_.seed ^ 0xBA1Eu,
-                                            device.id.value,
-                                            static_cast<std::uint64_t>(slot));
-        double observed =
-            true_gamma + noise_rng.normal(0.0, config_.observation_noise);
-        // The observation travels the same lossy path as the report: an
-        // injected drop loses it (the posterior simply doesn't move), a
-        // corruption garbles the accepted measurement.
-        bool observation_delivered = true;
-        if (faults_active) {
-          const fault::FaultDecision decision =
-              faults->decide(fault::FaultSite::kBayesReport, device.id.value,
-                             static_cast<std::uint64_t>(slot));
-          if (decision.dropped()) {
-            observation_delivered = false;
-            if (obs_bayes_lost != nullptr) obs_bayes_lost->add(1);
-            if (events != nullptr) {
-              events->record(
-                  {obs::EventKind::kFaultInjected, slot,
-                   static_cast<int>(device.id.value),
-                   {{"site", static_cast<double>(static_cast<int>(
-                                 fault::FaultSite::kBayesReport))}}});
-            }
-          } else if (decision.corrupted()) {
-            observed += decision.corrupt_factor;
-          }
-        }
-        if (!observation_delivered) continue;
-        device.estimator.observe(observed);
-        device.nig_estimator.observe(observed);
-        if (obs_bayes_updates != nullptr) obs_bayes_updates->add(1);
+      // End-of-slot gamma observation (SV-D), over the same lossy path as
+      // the report.
+      if (!selected) continue;
+      const std::optional<double> observed = core::observe_gamma(
+          device.estimator, device.nig_estimator, true_gamma,
+          config_.observation_noise, config_.seed, device.id.value,
+          static_cast<std::uint64_t>(slot), faults);
+      if (!observed) {
+        if (obs_bayes_lost != nullptr) obs_bayes_lost->add(1);
         if (events != nullptr) {
-          events->record({obs::EventKind::kBayesUpdate, slot,
-                          static_cast<int>(device.id.value),
-                          {{"observed_gamma", observed},
-                           {"posterior_mean",
-                            device.estimator.expected_gamma()}}});
+          events->record(
+              {obs::EventKind::kFaultInjected, slot,
+               static_cast<int>(device.id.value),
+               {{"site", static_cast<double>(static_cast<int>(
+                             fault::FaultSite::kBayesReport))}}});
         }
+        continue;
+      }
+      if (obs_bayes_updates != nullptr) obs_bayes_updates->add(1);
+      if (events != nullptr) {
+        events->record({obs::EventKind::kBayesUpdate, slot,
+                        static_cast<int>(device.id.value),
+                        {{"observed_gamma", *observed},
+                         {"posterior_mean",
+                          device.estimator.expected_gamma()}}});
       }
     }
 

@@ -89,8 +89,6 @@ struct DeviceState {
   bayes::NigGammaEstimator nig_estimator;
   bool watching = true;
   double watch_minutes = 0.0;
-  bool ever_served = false;
-  int slots_served = 0;
 };
 
 /// Everything a run reports; the benches turn these into the paper's rows.
@@ -135,15 +133,12 @@ class Emulator {
 
  private:
   void setup_devices();
-  media::Video slot_video(const DeviceState& device, int slot);
 
   EmulatorConfig config_;
   const core::Scheduler& scheduler_;
   core::RunContext context_;
-  common::Rng rng_;
   std::vector<DeviceState> devices_;
   transform::TransformEngine engine_;
-  media::PowerRateEstimator estimator_;
 };
 
 /// Convenience: run the same config with LPVS and with the no-transform

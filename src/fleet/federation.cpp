@@ -11,6 +11,7 @@
 #include "lpvs/bayes/gamma_estimator.hpp"
 #include "lpvs/bayes/nig_estimator.hpp"
 #include "lpvs/common/thread_pool.hpp"
+#include "lpvs/core/slot_kernel.hpp"
 #include "lpvs/display/display.hpp"
 #include "lpvs/fleet/wire.hpp"
 #include "lpvs/media/video.hpp"
@@ -20,21 +21,12 @@
 namespace lpvs::fleet {
 namespace {
 
-/// Same derived-stream construction as the emulator: all per-entity-per-slot
-/// randomness is a pure function of (seed, entity, slot), so federation
-/// replays are bit-identical regardless of thread count or server layout.
-common::Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
+using common::derived_rng;
 
 /// Seed salts for the federation's own derived streams (distinct from the
-/// emulator's 0xF00D/0x5717C4/0xBA1E family except the Bayes-noise salt,
-/// which is shared deliberately: a user observed by any server sees the
-/// same measurement noise).
+/// emulator's 0xF00D/0x5717C4 family).
 constexpr std::uint64_t kMobilitySalt = 0x0F1EE7u;
 constexpr std::uint64_t kDeviceSalt = 0xF1u;
-constexpr std::uint64_t kBayesNoiseSalt = 0xBA1Eu;
 constexpr std::uint64_t kArrivalSalt = 0xD1A17Eu;  ///< diurnal arrivals
 
 /// Knuth's Poisson sampler — exact and cheap for the per-slot arrival
@@ -108,9 +100,9 @@ struct ServerSession {
   std::uint32_t slots_served = 0;
 };
 
-/// One emulated edge server.  Owns its sessions, its solve cache (one
-/// warm-start stream keyed by the logical server id), and private copies of
-/// the pricing models so the parallel serve phase shares nothing mutable.
+/// One emulated edge server.  Owns its sessions and its solve cache (one
+/// warm-start stream keyed by the logical server id); chunk pricing comes
+/// from the slot kernel.
 struct Federation::EdgeServer {
   ServerInfo info;
   std::map<std::uint64_t, ServerSession> sessions;  // user-id order
@@ -118,8 +110,6 @@ struct Federation::EdgeServer {
   std::uint64_t slots_run = 0;
   ServerReport report;
   transform::TransformEngine engine;
-  media::PowerRateEstimator estimator;
-  transform::ResourceModel resources;
   bool leaving = false;
 
   /// What the parallel serve phase produced this slot; folded into the
@@ -633,40 +623,28 @@ void Federation::serve_slot(int slot, FederationReport& report,
     order.reserve(edge.sessions.size());
     videos.reserve(edge.sessions.size());
     hint.reserve(edge.sessions.size());
+    std::vector<double> priced(
+        static_cast<std::size_t>(config_.chunks_per_slot));
 
     for (auto& [user_id, session] : edge.sessions) {
       FleetUser& user = users_[static_cast<std::size_t>(user_id)];
-      // Content is a pure function of (seed, user, slot) — identical no
-      // matter which server happens to own the user.
-      common::Rng content_seed_rng =
-          derived_rng(config_.seed, user_id,
-                      static_cast<std::uint64_t>(global_slot));
-      media::ContentGenerator generator(content_seed_rng());
-      media::Video video = generator.generate(
-          common::VideoId{static_cast<std::uint32_t>(
-              user_id * 100000u + static_cast<std::uint64_t>(global_slot))},
-          user.genre, config_.chunks_per_slot, user.bitrate_mbps,
-          common::Seconds{config_.chunk_seconds});
+      media::Video& video = videos.emplace_back();
+      core::slot_video_into(video, config_.seed, user_id,
+                            static_cast<std::uint64_t>(global_slot),
+                            user.genre, config_.chunks_per_slot,
+                            user.bitrate_mbps, config_.chunk_seconds);
+      core::price_chunks(user.spec, video.chunks, priced);
 
-      core::DeviceSlotInput input;
-      input.id = common::DeviceId{static_cast<std::uint32_t>(user_id)};
-      input.power_rates_mw.reserve(video.chunks.size());
-      input.chunk_durations_s.reserve(video.chunks.size());
-      for (const media::VideoChunk& chunk : video.chunks) {
-        input.power_rates_mw.push_back(
-            edge.estimator.rate(user.spec, chunk).value);
-        input.chunk_durations_s.push_back(chunk.duration.value);
-      }
+      core::DeviceSlotInput& input = problem.devices.emplace_back();
+      core::fill_slot_row(input,
+                          common::DeviceId{static_cast<std::uint32_t>(user_id)},
+                          user.spec, video, priced);
       input.initial_energy_mwh = user.battery.remaining().value;
       input.battery_capacity_mwh = user.battery.capacity().value;
       input.gamma = session.estimator.expected_gamma();
-      input.compute_cost = edge.resources.compute_cost(user.spec, video);
-      input.storage_cost = edge.resources.storage_cost(video);
 
       hint.push_back(session.last_assignment != 0 ? 1 : 0);
       order.push_back(user_id);
-      problem.devices.push_back(std::move(input));
-      videos.push_back(std::move(video));
     }
     edge.slot_scheduled = static_cast<long>(problem.devices.size());
 
@@ -717,50 +695,21 @@ void Federation::serve_slot(int slot, FederationReport& report,
         ++edge.slot_selected;
       }
 
-      for (std::size_t k = 0; k < video.chunks.size(); ++k) {
-        const media::VideoChunk& chunk = video.chunks[k];
-        const double rate = rates[k];
-        const double psi = selected ? (1.0 - true_gamma) * rate : rate;
-        edge.slot_anxiety += anxiety(user.battery.fraction());
-        ++edge.slot_anxiety_samples;
-        const common::MilliwattHours drawn =
-            user.battery.drain(common::Milliwatts{psi}, chunk.duration);
-        edge.slot_energy_mwh += drawn.value;
-        user.watch_minutes += chunk.duration.value / 60.0;
-        if (user.battery.empty()) {
-          user.watching = false;
-          break;
-        }
-        if (config_.enable_giveup && user.giveup_percent > 0 &&
-            user.battery.percent() <=
-                static_cast<double>(user.giveup_percent)) {
-          user.watching = false;
-          break;
-        }
-      }
+      const core::PlaybackEnd end = core::play_slot(
+          user.battery, video, rates, selected, true_gamma,
+          config_.enable_giveup ? user.giveup_percent : 0, anxiety,
+          edge.slot_anxiety, edge.slot_anxiety_samples, user.watch_minutes,
+          [&](double drawn_mwh) { edge.slot_energy_mwh += drawn_mwh; });
+      if (end != core::PlaybackEnd::kWatching) user.watching = false;
 
-      // End-of-slot gamma observation; noise keyed on (user, global slot),
-      // server-independent, through the same lossy Bayes-report path the
-      // emulator models (gated on that site being configured).
+      // End-of-slot gamma observation, keyed on (user, global slot) so it
+      // is server-independent.
       if (selected) {
-        common::Rng noise_rng =
-            derived_rng(config_.seed ^ kBayesNoiseSalt, order[i],
-                        static_cast<std::uint64_t>(global_slot));
-        double observed =
-            true_gamma + noise_rng.normal(0.0, config_.observation_noise);
-        bool delivered = true;
-        if (faults != nullptr &&
-            faults->site_enabled(fault::FaultSite::kBayesReport)) {
-          const fault::FaultDecision decision =
-              faults->decide(fault::FaultSite::kBayesReport, order[i],
-                             static_cast<std::uint64_t>(global_slot));
-          if (decision.dropped()) delivered = false;
-          if (decision.corrupted()) observed += decision.corrupt_factor;
-        }
-        if (delivered) {
-          session.estimator.observe(observed);
-          session.nig.observe(observed);
-        }
+        (void)core::observe_gamma(session.estimator, session.nig, true_gamma,
+                                  config_.observation_noise, config_.seed,
+                                  order[i],
+                                  static_cast<std::uint64_t>(global_slot),
+                                  faults);
       }
     }
   };

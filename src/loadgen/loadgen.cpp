@@ -30,12 +30,7 @@ namespace protocol = server::protocol;
 
 using Clock = std::chrono::steady_clock;
 
-/// Same derived-stream construction as the server: client behavior is a
-/// pure function of (seed, entity, salt), never of scheduling order.
-common::Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
+using common::derived_rng;
 
 constexpr std::uint64_t kBatterySalt = 0xBA77uLL;
 constexpr std::uint64_t kDrainSalt = 0xD4A1uLL;

@@ -101,15 +101,6 @@ class PowerRateEstimator {
   common::Milliwatts rate(const display::DisplaySpec& spec,
                           const VideoChunk& chunk) const;
 
-  /// Power rates for every chunk of a video (the vector the scheduler's
-  /// information-compacting step consumes).
-  std::vector<common::Milliwatts> rates(const display::DisplaySpec& spec,
-                                        const Video& video) const;
-
-  /// Energy to play the whole video on this device (no transform).
-  common::MilliwattHours playback_energy(const display::DisplaySpec& spec,
-                                         const Video& video) const;
-
   const display::DevicePowerModel& model() const { return model_; }
 
  private:

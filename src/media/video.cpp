@@ -98,23 +98,4 @@ common::Milliwatts PowerRateEstimator::rate(const display::DisplaySpec& spec,
   return model_.playback_power(spec, chunk.stats, chunk.bitrate_mbps);
 }
 
-std::vector<common::Milliwatts> PowerRateEstimator::rates(
-    const display::DisplaySpec& spec, const Video& video) const {
-  std::vector<common::Milliwatts> out;
-  out.reserve(video.chunks.size());
-  for (const VideoChunk& chunk : video.chunks) {
-    out.push_back(rate(spec, chunk));
-  }
-  return out;
-}
-
-common::MilliwattHours PowerRateEstimator::playback_energy(
-    const display::DisplaySpec& spec, const Video& video) const {
-  common::MilliwattHours total{0.0};
-  for (const VideoChunk& chunk : video.chunks) {
-    total += common::energy(rate(spec, chunk), chunk.duration);
-  }
-  return total;
-}
-
 }  // namespace lpvs::media

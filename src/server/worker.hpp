@@ -36,21 +36,12 @@
 #include "lpvs/server/config.hpp"
 #include "lpvs/server/event_loop.hpp"
 #include "lpvs/server/protocol.hpp"
+#include "lpvs/server/server.hpp"
 #include "lpvs/solver/solve_cache.hpp"
-#include "lpvs/transform/transform.hpp"
 
 namespace lpvs::server::internal {
 
-/// Same derived-stream construction as the emulator and federation: all
-/// per-(entity, slot) randomness is a pure function of (seed, entity, slot),
-/// so the daemon's slot problems are independent of socket interleaving —
-/// and of which worker serves the cluster.
-inline common::Rng derived_rng(std::uint64_t seed, std::uint64_t a,
-                               std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
-
+/// Salt of the common::derived_rng stream a user's panel spec is drawn from.
 inline constexpr std::uint64_t kDeviceSalt = 0xD15CuLL;
 
 /// Everything the daemon counts, indexed so the fold loop is table-driven.
@@ -80,10 +71,59 @@ enum CounterId : int {
 struct CounterSpec {
   const char* name;
   const char* help;
+  /// The ServerStats field the counter reads back into (null: none).
+  long ServerStats::*stat;
 };
 
-/// Registry names for each CounterId, in enum order.
-const std::array<CounterSpec, kNumCounters>& counter_specs();
+/// Registry names and ServerStats fields for each CounterId, in enum order.
+inline constexpr std::array<CounterSpec, kNumCounters> kCounterSpecs = {{
+    {"lpvs_server_accepted_total", "connections accepted",
+     &ServerStats::accepted},
+    {"lpvs_server_admission_rejects_total", "sessions rejected at HELLO",
+     &ServerStats::admission_rejects},
+    {"lpvs_server_decode_errors_total", "malformed frames dropped",
+     &ServerStats::decode_errors},
+    {"lpvs_server_protocol_errors_total",
+     "sessions failed for a protocol violation",
+     &ServerStats::protocol_errors},
+    {"lpvs_server_backpressure_closes_total",
+     "sessions closed for an over-limit outbound queue",
+     &ServerStats::backpressure_closes},
+    {"lpvs_server_frames_rx_total", "frames received",
+     &ServerStats::frames_rx},
+    {"lpvs_server_frames_tx_total", "frames sent", &ServerStats::frames_tx},
+    {"lpvs_server_slots_total", "cluster slots scheduled",
+     &ServerStats::slots_scheduled},
+    {"lpvs_server_sessions_completed_total",
+     "sessions ended with an orderly BYE", &ServerStats::sessions_completed},
+    {"lpvs_server_forced_closes_total",
+     "sessions cut by stop() or a drain timeout",
+     &ServerStats::forced_closes},
+    {"lpvs_server_shed_total",
+     "slots forced down the degradation ladder by overload",
+     &ServerStats::shed_slots},
+    {"lpvs_server_handoffs_total",
+     "connections routed from the dispatcher to a worker", nullptr},
+    {"lpvs_io_syscalls_total",
+     "data-path syscalls (read + writev + io_uring_enter)",
+     &ServerStats::io_syscalls},
+    {"lpvs_io_read_syscalls_total",
+     "data-path syscalls that moved inbound bytes",
+     &ServerStats::io_read_syscalls},
+    {"lpvs_io_write_syscalls_total",
+     "data-path syscalls that moved outbound bytes",
+     &ServerStats::io_write_syscalls},
+    {"lpvs_io_uring_enters_total", "io_uring_enter batch submissions",
+     &ServerStats::io_uring_enters},
+    {"lpvs_io_submissions_total",
+     "ops queued through the batched submission API",
+     &ServerStats::io_submissions},
+    {"lpvs_io_flushes_total", "non-empty submission batches flushed",
+     &ServerStats::io_flushes},
+    {"lpvs_io_backend_fallback_total",
+     "event loops degraded from their requested backend",
+     &ServerStats::backend_fallbacks},
+}};
 
 /// One thread's counter slab.  The owning thread adds with relaxed atomics
 /// (no contention: one writer); the fold reads the live values and tracks
@@ -96,6 +136,22 @@ struct LocalCounters {
   void add(CounterId id, long delta = 1) {
     value[static_cast<std::size_t>(id)].fetch_add(delta,
                                                   std::memory_order_relaxed);
+  }
+
+  /// Adds what an event loop's syscall ledger counted since `seen` (its
+  /// IoStats at the previous call) and advances `seen`.  Owning thread only:
+  /// the loop's IoStats are plain fields.
+  void add_io(const IoStats& now, IoStats& seen) {
+    const auto bump = [this](CounterId id, long current, long previous) {
+      if (current != previous) add(id, current - previous);
+    };
+    bump(kIoReadSyscalls, now.read_path_syscalls, seen.read_path_syscalls);
+    bump(kIoWriteSyscalls, now.write_path_syscalls, seen.write_path_syscalls);
+    bump(kIoUringEnters, now.enter_syscalls, seen.enter_syscalls);
+    bump(kIoSubmissions, now.submissions, seen.submissions);
+    bump(kIoFlushes, now.flushes, seen.flushes);
+    bump(kIoSyscalls, now.total_syscalls(), seen.total_syscalls());
+    seen = now;
   }
 };
 
@@ -226,7 +282,6 @@ class Worker {
   void finalize_drained(Connection* conn);
   bool flush(Connection* conn);
   void observe_occupancy(std::size_t ops);
-  void sync_io_stats();
   bool fail_session(Connection* conn, common::StatusCode code,
                     std::string message);
   void close_connection(Connection* conn, bool orderly);
@@ -259,17 +314,14 @@ class Worker {
   std::vector<int> read_ready_;           ///< fds readable this wakeup
   std::vector<IoOutcome> read_outcomes_;
   std::vector<IoOutcome> write_outcomes_;
-  IoStats io_seen_;       ///< loop stats already folded into the slab
-  long io_total_seen_ = 0;
-
-  media::PowerRateEstimator rate_estimator_;
-  transform::ResourceModel resources_;
+  IoStats io_seen_;  ///< loop stats already added to the slab
 
   // Slot-problem scratch, reused across every (cluster, slot): the inner
   // vectors keep their capacity, so steady-state assembly allocates nothing.
   core::SlotProblem problem_;
   std::vector<Connection*> order_;
   media::Video video_;
+  std::vector<double> rates_;
 
   // Joint ABR × transform path (config_.abr.enabled): the joint scratch
   // borrows problem_ as its base via swap, so both modes share the device

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "lpvs/common/rng.hpp"
+#include "lpvs/core/slot_kernel.hpp"
 #include "lpvs/core/slot_problem.hpp"
 #include "lpvs/survey/lba_curve.hpp"
 
@@ -219,6 +220,126 @@ TEST(ObjectiveStructure, LowBatteryDeviceBenefitsMoreFromTransform) {
       compacted_objective(high, false, anxiety(), lambda) -
       compacted_objective(high, true, anxiety(), lambda);
   EXPECT_GT(benefit_low, benefit_high);
+}
+
+// The slot kernel (slot_kernel.hpp): the per-slot decisions the emulator,
+// the federation and the serving daemon share.
+
+/// An OLED panel: its power follows the content, so rates tell videos apart.
+const display::DisplaySpec& kernel_spec() {
+  const auto& catalog = display::DeviceCatalog::standard();
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (catalog.at(i).spec.type == display::DisplayType::kOled) {
+      return catalog.at(i).spec;
+    }
+  }
+  return catalog.at(0).spec;
+}
+
+TEST(SlotKernel, ContentIsAPureFunctionOfSeedUserSlot) {
+  media::Video a;
+  media::Video b;
+  slot_video_into(a, 7, 3, 12, media::Genre::kMovie, 5, 2.5, 10.0);
+  slot_video_into(b, 7, 3, 12, media::Genre::kMovie, 5, 2.5, 10.0);
+  EXPECT_EQ(a.id.value, 3u * 100000u + 12u);
+  ASSERT_EQ(a.chunks.size(), 5u);
+  std::vector<double> rates_a(5);
+  std::vector<double> rates_b(5);
+  price_chunks(kernel_spec(), a.chunks, rates_a);
+  price_chunks(kernel_spec(), b.chunks, rates_b);
+  EXPECT_EQ(rates_a, rates_b);
+
+  slot_video_into(b, 7, 3, 13, media::Genre::kMovie, 5, 2.5, 10.0);
+  price_chunks(kernel_spec(), b.chunks, rates_b);
+  EXPECT_NE(rates_a, rates_b);
+}
+
+TEST(SlotKernel, RowTakesTheKnownPrefix) {
+  media::Video video;
+  slot_video_into(video, 1, 0, 0, media::Genre::kIrlChat, 6, 3.0, 10.0);
+  std::vector<double> rates(6);
+  price_chunks(kernel_spec(), video.chunks, rates);
+  DeviceSlotInput row;
+  fill_slot_row(row, common::DeviceId{9}, kernel_spec(), video,
+                std::span<const double>(rates).first(4));
+  EXPECT_EQ(row.id.value, 9u);
+  EXPECT_EQ(row.power_rates_mw,
+            std::vector<double>(rates.begin(), rates.begin() + 4));
+  EXPECT_EQ(row.chunk_durations_s, std::vector<double>(4, 10.0));
+  EXPECT_GT(row.compute_cost, 0.0);
+  EXPECT_GT(row.storage_cost, 0.0);
+}
+
+struct Played {
+  PlaybackEnd end;
+  long samples = 0;
+  double drawn_mwh = 0.0;
+  double watch_minutes = 0.0;
+};
+
+Played play(battery::Battery battery, int giveup_percent) {
+  media::Video video;
+  slot_video_into(video, 1, 0, 0, media::Genre::kSports, 5, 3.0, 10.0);
+  std::vector<double> rates(5);
+  price_chunks(kernel_spec(), video.chunks, rates);
+  Played played;
+  double anxiety_sum = 0.0;
+  played.end = play_slot(battery, video, rates, /*transformed=*/false, 0.3,
+                         giveup_percent, anxiety(), anxiety_sum,
+                         played.samples, played.watch_minutes,
+                         [&](double mwh) { played.drawn_mwh += mwh; });
+  return played;
+}
+
+TEST(SlotKernel, DepletionStopsPlaybackBeforeTheGiveUpCheck) {
+  // The first chunk empties the battery and also crosses the give-up
+  // level: depletion is what ends the slot.
+  const Played empty =
+      play(battery::Battery(common::MilliwattHours{0.01}, 1.0), 50);
+  EXPECT_EQ(empty.end, PlaybackEnd::kDepleted);
+  EXPECT_EQ(empty.samples, 1);
+  EXPECT_DOUBLE_EQ(empty.drawn_mwh, 0.01);
+
+  const Played gave_up =
+      play(battery::Battery(common::MilliwattHours{10000.0}, 0.5001), 50);
+  EXPECT_EQ(gave_up.end, PlaybackEnd::kGaveUp);
+  EXPECT_EQ(gave_up.samples, 1);
+
+  // Give-up level 0: the user watches the whole slot.
+  const Played watched =
+      play(battery::Battery(common::MilliwattHours{10000.0}, 0.5001), 0);
+  EXPECT_EQ(watched.end, PlaybackEnd::kWatching);
+  EXPECT_EQ(watched.samples, 5);
+  EXPECT_DOUBLE_EQ(watched.watch_minutes, 5.0 * 10.0 / 60.0);
+}
+
+TEST(SlotKernel, LostGammaReportLeavesBothPosteriorsUnmoved) {
+  bayes::GammaEstimator gamma;
+  bayes::NigGammaEstimator nig;
+  const double prior_gamma = gamma.expected_gamma();
+  const double prior_nig = nig.expected_gamma();
+
+  fault::FaultInjector::Config config;
+  config.seed = 5;
+  config.site(fault::FaultSite::kBayesReport).drop = 1.0;
+  const fault::FaultInjector lossy(config);
+  EXPECT_FALSE(
+      observe_gamma(gamma, nig, 0.3, 0.02, 11, 4, 2, &lossy).has_value());
+  EXPECT_EQ(gamma.expected_gamma(), prior_gamma);
+  EXPECT_EQ(nig.expected_gamma(), prior_nig);
+
+  // Delivered: the same (seed, user, slot) draws the same noise, and both
+  // posteriors move.
+  bayes::GammaEstimator other_gamma;
+  bayes::NigGammaEstimator other_nig;
+  const std::optional<double> observed =
+      observe_gamma(gamma, nig, 0.3, 0.02, 11, 4, 2, nullptr);
+  ASSERT_TRUE(observed.has_value());
+  EXPECT_EQ(observe_gamma(other_gamma, other_nig, 0.3, 0.02, 11, 4, 2,
+                          nullptr),
+            observed);
+  EXPECT_NE(gamma.expected_gamma(), prior_gamma);
+  EXPECT_NE(nig.expected_gamma(), prior_nig);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "lpvs/core/scheduler.hpp"
 #include "lpvs/loadgen/loadgen.hpp"
@@ -193,6 +194,53 @@ TEST(ServingIntegration, LatencyExportedThroughMetricsRegistry) {
 
   ASSERT_NE(snapshot.counter("lpvs_server_slots_total"), nullptr);
   EXPECT_EQ(snapshot.counter_value("lpvs_server_slots_total"), 4L * 25L);
+
+  // Every daemon counter the run bumped reads back into its ServerStats
+  // field (the handoff count has none).  The names are spelled out here,
+  // independently of the daemon's own table.
+  const std::map<std::string, long server::ServerStats::*> fields = {
+      {"lpvs_server_accepted_total", &server::ServerStats::accepted},
+      {"lpvs_server_admission_rejects_total",
+       &server::ServerStats::admission_rejects},
+      {"lpvs_server_decode_errors_total", &server::ServerStats::decode_errors},
+      {"lpvs_server_protocol_errors_total",
+       &server::ServerStats::protocol_errors},
+      {"lpvs_server_backpressure_closes_total",
+       &server::ServerStats::backpressure_closes},
+      {"lpvs_server_frames_rx_total", &server::ServerStats::frames_rx},
+      {"lpvs_server_frames_tx_total", &server::ServerStats::frames_tx},
+      {"lpvs_server_slots_total", &server::ServerStats::slots_scheduled},
+      {"lpvs_server_sessions_completed_total",
+       &server::ServerStats::sessions_completed},
+      {"lpvs_server_forced_closes_total", &server::ServerStats::forced_closes},
+      {"lpvs_server_shed_total", &server::ServerStats::shed_slots},
+      {"lpvs_io_syscalls_total", &server::ServerStats::io_syscalls},
+      {"lpvs_io_read_syscalls_total", &server::ServerStats::io_read_syscalls},
+      {"lpvs_io_write_syscalls_total", &server::ServerStats::io_write_syscalls},
+      {"lpvs_io_uring_enters_total", &server::ServerStats::io_uring_enters},
+      {"lpvs_io_submissions_total", &server::ServerStats::io_submissions},
+      {"lpvs_io_flushes_total", &server::ServerStats::io_flushes},
+      {"lpvs_io_backend_fallback_total",
+       &server::ServerStats::backend_fallbacks},
+  };
+  const server::ServerStats stats = daemon.stats();
+  int bumped = 0;
+  for (const obs::CounterSample& counter : registry.snapshot().counters) {
+    if (!counter.name.starts_with("lpvs_server_") &&
+        !counter.name.starts_with("lpvs_io_")) {
+      continue;
+    }
+    if (counter.value == 0 || counter.name == "lpvs_server_handoffs_total") {
+      continue;
+    }
+    ++bumped;
+    const auto field = fields.find(counter.name);
+    ASSERT_NE(field, fields.end()) << counter.name << " has no field";
+    EXPECT_EQ(stats.*field->second, counter.value) << counter.name;
+  }
+  // accepted, frames rx/tx, slots, completed and the io ledger at least.
+  EXPECT_GE(bumped, 9);
+  EXPECT_EQ(stats.active, 0);
 }
 
 TEST(ServingIntegration, TraceReplaySessionsComplete) {
