@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -207,6 +209,63 @@ TEST(EdgeServerDaemon, SingleSessionPlaysSlots) {
   EXPECT_EQ(stats.slots_scheduled, 3);
   EXPECT_EQ(stats.sessions_completed, 1);
   EXPECT_EQ(stats.forced_closes, 0);
+}
+
+/// Records each row's energy fraction e / capacity, then schedules like
+/// LPVS.  The daemon calls schedule() from its worker threads.
+class RecordingScheduler : public core::Scheduler {
+ public:
+  std::string name() const override { return "recording"; }
+  core::Schedule schedule(const core::SlotProblem& problem,
+                          const core::RunContext& context) const override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (const core::DeviceSlotInput& row : problem.devices) {
+        fractions_.push_back(row.initial_energy_mwh /
+                             row.battery_capacity_mwh);
+      }
+    }
+    return scheduler().schedule(problem, context);
+  }
+  std::vector<double> fractions() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return fractions_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<double> fractions_;
+};
+
+TEST(EdgeServerDaemon, SchedulerSeesTheReportedBatteryFraction) {
+  // Phase-2 and scoring evaluate the anxiety at e / capacity, so that
+  // ratio must be the fraction the viewer reported: the session-scale
+  // capacity factor applies to the energy and the capacity alike.
+  const RecordingScheduler recording;
+  server::EdgeServerDaemon daemon(server::ServerConfig{}, recording,
+                                  core::RunContext(anxiety()));
+  ASSERT_TRUE(daemon.start().ok());
+
+  const int fd = connect_to(daemon.port());
+  ASSERT_TRUE(send_frame(fd, protocol::make_frame(hello_for(1, 1, 1, 2))));
+  ASSERT_TRUE(read_frame(fd).ok());  // HELLOACK
+  const double reported[] = {0.8, 0.35};
+  for (std::uint32_t slot = 0; slot < 2; ++slot) {
+    ASSERT_TRUE(send_frame(
+        fd, protocol::make_frame(report_for(slot, reported[slot]))));
+    auto schedule = read_frame(fd);
+    ASSERT_TRUE(schedule.ok()) << schedule.status().to_string();
+    ASSERT_EQ(schedule->type, protocol::FrameType::kSchedule);
+    ASSERT_TRUE(read_frame(fd).ok());  // GRANT
+  }
+  ASSERT_TRUE(send_frame(fd, protocol::make_frame(protocol::Bye{0})));
+  io::close_fd(fd);
+  ASSERT_TRUE(daemon.drain(5000).ok());
+
+  const std::vector<double> fractions = recording.fractions();
+  ASSERT_EQ(fractions.size(), 2u);
+  EXPECT_DOUBLE_EQ(fractions[0], reported[0]);
+  EXPECT_DOUBLE_EQ(fractions[1], reported[1]);
 }
 
 TEST(EdgeServerDaemon, ClusterBarrierWaitsForAllMembers) {
