@@ -178,8 +178,10 @@ Frame make_frame(Bye body);
 Frame make_frame(Error body);
 
 /// Decodes one *payload* (the bytes after a length prefix).  Rejects bad
-/// checksums (kDataLoss), short bodies (kDataLoss), unknown magic/version/
-/// type and trailing garbage (kInvalidArgument).
+/// checksums (kDataLoss), short bodies and HELLO/REPORT bodies carrying
+/// numbers the scheduler cannot use (kDataLoss: a non-finite value, a
+/// battery fraction outside [0, 1], a capacity or bitrate <= 0), unknown
+/// magic/version/type and trailing garbage (kInvalidArgument).
 common::StatusOr<Frame> decode_payload(std::vector<std::uint8_t> payload);
 
 /// Span form: decodes a payload in place (no copy, no mutation) — what

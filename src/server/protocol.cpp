@@ -1,5 +1,6 @@
 #include "lpvs/server/protocol.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -11,7 +12,11 @@ using common::wire::Writer;
 
 // decode_body takes the frame's claimed version so the two frames v2
 // extended can stop early on v1 bodies (appended fields keep their struct
-// defaults); every other body ignores it.
+// defaults); every other body ignores it.  The client-sent bodies (HELLO,
+// REPORT) also reject numbers the scheduler cannot use, so a hostile value
+// takes the malformed-frame path instead of reaching a solve.
+
+bool positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 void encode_body(Writer& w, const Hello& b) {
   w.u64(b.user_id);
@@ -27,7 +32,8 @@ void encode_body(Writer& w, const Hello& b) {
 bool decode_body(Reader& r, Hello& b, std::uint32_t) {
   return r.u64(b.user_id) && r.u64(b.cluster_id) && r.u32(b.cluster_size) &&
          r.u32(b.slots_total) && r.f64(b.battery_capacity_mwh) &&
-         r.f64(b.bitrate_mbps) && r.u8(b.genre) && r.u8(b.giveup_percent);
+         r.f64(b.bitrate_mbps) && r.u8(b.genre) && r.u8(b.giveup_percent) &&
+         positive(b.battery_capacity_mwh) && positive(b.bitrate_mbps);
 }
 
 void encode_body(Writer& w, const HelloAck& b) {
@@ -54,8 +60,14 @@ bool decode_body(Reader& r, Report& b, std::uint32_t version) {
         r.f64(b.observed_delta) && r.u8(b.has_delta) && r.u8(b.watching))) {
     return false;
   }
+  // !(a <= x && x <= b) also rejects NaN.
+  if (!(0.0 <= b.battery_fraction && b.battery_fraction <= 1.0) ||
+      !std::isfinite(b.observed_delta)) {
+    return false;
+  }
   if (version < 2) return true;  // v1 body ends here; defaults stand
-  return r.f64(b.buffer_s) && r.f64(b.throughput_mbps);
+  return r.f64(b.buffer_s) && r.f64(b.throughput_mbps) &&
+         std::isfinite(b.buffer_s) && std::isfinite(b.throughput_mbps);
 }
 
 void encode_body(Writer& w, const Schedule& b) {
@@ -110,7 +122,7 @@ common::StatusOr<Frame> finish_decode(Reader& r, FrameType type,
                                       std::uint32_t version) {
   Body body;
   if (!decode_body(r, body, version)) {
-    return common::Status::DataLoss("truncated frame body");
+    return common::Status::DataLoss("truncated or out-of-range frame body");
   }
   if (!r.exhausted()) {
     return common::Status::InvalidArgument("trailing bytes after frame body");

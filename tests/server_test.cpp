@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -371,6 +373,48 @@ TEST(EdgeServerDaemon, MalformedFrameDropsConnectionServerSurvives) {
   EXPECT_EQ(ack->type, protocol::FrameType::kHelloAck);
   io::close_fd(good);
   daemon.stop();
+}
+
+TEST(EdgeServerDaemon, NanReportDropsOnlyTheSenderFromItsCluster) {
+  // One member of a two-member cluster reports a NaN battery fraction.
+  // The frame is malformed: the sender is dropped and counted, and its
+  // value never reaches the cluster's solve, so the well-behaved member
+  // is still scheduled with a finite objective.
+  server::EdgeServerDaemon daemon(server::ServerConfig{}, scheduler(),
+                                  core::RunContext(anxiety()));
+  ASSERT_TRUE(daemon.start().ok());
+
+  const int good = connect_to(daemon.port());
+  const int hostile = connect_to(daemon.port());
+  ASSERT_TRUE(send_frame(good, protocol::make_frame(hello_for(1, 5, 2, 1))));
+  ASSERT_TRUE(
+      send_frame(hostile, protocol::make_frame(hello_for(2, 5, 2, 1))));
+  ASSERT_TRUE(read_frame(good).ok());  // HELLO_ACKs
+  ASSERT_TRUE(read_frame(hostile).ok());
+
+  ASSERT_TRUE(send_frame(
+      hostile, protocol::make_frame(report_for(
+                   0, std::numeric_limits<double>::quiet_NaN()))));
+  std::uint8_t byte;
+  EXPECT_EQ(io::read_retry(hostile, &byte, 1).kind, io::IoResult::Kind::kEof);
+  io::close_fd(hostile);
+
+  ASSERT_TRUE(send_frame(good, protocol::make_frame(report_for(0, 0.15))));
+  auto schedule = read_frame(good);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().to_string();
+  ASSERT_EQ(schedule->type, protocol::FrameType::kSchedule);
+  const auto& body = schedule->as<protocol::Schedule>();
+  EXPECT_EQ(body.cluster_devices, 1u);
+  EXPECT_TRUE(std::isfinite(body.objective));
+  EXPECT_TRUE(std::isfinite(body.expected_gamma));
+  ASSERT_TRUE(read_frame(good).ok());  // GRANT
+
+  ASSERT_TRUE(send_frame(good, protocol::make_frame(protocol::Bye{0})));
+  io::close_fd(good);
+  ASSERT_TRUE(daemon.drain(5000).ok());
+  const server::ServerStats stats = daemon.stats();
+  EXPECT_EQ(stats.decode_errors, 1);
+  EXPECT_EQ(stats.slots_scheduled, 1);
 }
 
 TEST(EdgeServerDaemon, BackpressureClosesNonReadingPeer) {
