@@ -139,6 +139,9 @@ Federation::Federation(FederationConfig config, const trace::Trace& trace,
   assert(config_.slots > 0);
   assert(config_.chunks_per_slot > 0);
   assert(context_.anxiety != nullptr);
+  if (config_.threads != 1) {
+    pool_ = std::make_unique<common::ThreadPool>(config_.threads);
+  }
 }
 
 Federation::~Federation() = default;
@@ -714,11 +717,10 @@ void Federation::serve_slot(int slot, FederationReport& report,
     }
   };
 
-  if (config_.threads == 1 || active.size() <= 1) {
+  if (pool_ == nullptr || active.size() <= 1) {
     for (std::size_t i = 0; i < active.size(); ++i) serve_one(i);
   } else {
-    common::ThreadPool pool(config_.threads);
-    common::parallel_for(pool, active.size(), serve_one);
+    common::parallel_for(*pool_, active.size(), serve_one);
   }
 
   // Sequential epilogue in sorted-server order: double summation order is

@@ -40,6 +40,10 @@
 #include "lpvs/fleet/placement.hpp"
 #include "lpvs/trace/trace.hpp"
 
+namespace lpvs::common {
+class ThreadPool;
+}  // namespace lpvs::common
+
 namespace lpvs::fleet {
 
 /// A scheduled membership change: `server` joins (with `weight`) or leaves
@@ -224,6 +228,8 @@ class Federation {
   std::vector<FleetUser> users_;
   std::map<std::uint64_t, std::unique_ptr<EdgeServer>> servers_;
   std::map<std::uint64_t, ServerReport> departed_;  ///< reports of left servers
+  /// Per-server phase workers, built once; null when threads == 1.
+  std::unique_ptr<common::ThreadPool> pool_;
 
   /// Channel templates (genre, bitrate) the diurnal arrival process clones
   /// viewers from; captured once at setup from the trace.
