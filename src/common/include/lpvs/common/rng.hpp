@@ -136,12 +136,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child stream; used to give each emulated device
-  /// or channel its own RNG so reordering iterations does not perturb draws.
-  Rng fork(std::uint64_t stream_id) {
-    return Rng((*this)() ^ (stream_id * 0xD1B54A32D192ED03ULL + 1));
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

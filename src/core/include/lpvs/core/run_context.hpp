@@ -113,7 +113,8 @@ struct RunContext {
     return bound;
   }
   /// Copy of this context bound to a solve cache and stream key; the
-  /// batch/emulation layers hand each shard its own keyed view.
+  /// emulator, the federation and the daemon hand each cluster its own
+  /// keyed view.
   RunContext with_solve_cache(solver::SolveCache* cache,
                               std::uint64_t key) const {
     RunContext bound = *this;

@@ -34,7 +34,8 @@ enum class FaultSite : int {
   kSignalingDownlink,    ///< edge decision -> device
   kBayesReport,          ///< per-slot observed power-ratio report
   kChunkDelivery,        ///< CDN -> edge chunk fetch
-  kEncoderWorker,        ///< transform job at the encoder farm
+  kEncoderWorker,        ///< unused; kept so later sites keep the index
+                         ///< their decisions hash
   kNetworkLink,          ///< device last-hop throughput (outage / degrade)
   kSolverBudget,         ///< per-slot solve deadline (overrun -> degrade)
   kServerCrash,          ///< edge server loses in-memory state (fleet)

@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace lpvs::media {
 namespace {
@@ -173,59 +172,6 @@ Frame FrameSynthesizer::render_genre(Genre genre, int width, int height) {
   stats.mean_b = profile.luminance_mean * profile.b_bias;
   stats.peak_luminance = std::min(1.0, profile.luminance_mean + 0.3);
   return render(stats.clamped(), width, height);
-}
-
-double psnr(const Frame& a, const Frame& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
-  if (a.empty()) return std::numeric_limits<double>::infinity();
-  double mse = 0.0;
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    const double d =
-        static_cast<double>(a.data()[i]) - static_cast<double>(b.data()[i]);
-    mse += d * d;
-  }
-  mse /= static_cast<double>(a.data().size());
-  if (mse == 0.0) return std::numeric_limits<double>::infinity();
-  return 10.0 * std::log10(255.0 * 255.0 / mse);
-}
-
-double ssim_luma(const Frame& a, const Frame& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
-  if (a.empty()) return 1.0;
-  const auto n = static_cast<double>(a.pixel_count());
-  double mean_a = 0.0;
-  double mean_b = 0.0;
-  std::vector<double> la;
-  std::vector<double> lb;
-  la.reserve(static_cast<std::size_t>(a.pixel_count()));
-  lb.reserve(static_cast<std::size_t>(a.pixel_count()));
-  for (int y = 0; y < a.height(); ++y) {
-    for (int x = 0; x < a.width(); ++x) {
-      la.push_back(luma709(a.at(x, y)));
-      lb.push_back(luma709(b.at(x, y)));
-      mean_a += la.back();
-      mean_b += lb.back();
-    }
-  }
-  mean_a /= n;
-  mean_b /= n;
-  double var_a = 0.0;
-  double var_b = 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    var_a += (la[i] - mean_a) * (la[i] - mean_a);
-    var_b += (lb[i] - mean_b) * (lb[i] - mean_b);
-    cov += (la[i] - mean_a) * (lb[i] - mean_b);
-  }
-  var_a /= n;
-  var_b /= n;
-  cov /= n;
-  // Standard SSIM constants on a unit dynamic range.
-  constexpr double kC1 = 0.01 * 0.01;
-  constexpr double kC2 = 0.03 * 0.03;
-  return (2.0 * mean_a * mean_b + kC1) * (2.0 * cov + kC2) /
-         ((mean_a * mean_a + mean_b * mean_b + kC1) *
-          (var_a + var_b + kC2));
 }
 
 }  // namespace lpvs::media

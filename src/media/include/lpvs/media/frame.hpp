@@ -4,11 +4,10 @@
 // (display::FrameStats) because the literature power models are linear in
 // per-pixel channel values — the statistics are sufficient.  This module
 // provides the slow path those statistics stand in for: real RGB frame
-// buffers, a synthesizer that renders genre-faithful frames, gamma-correct
-// statistics extraction, and quality metrics (PSNR, SSIM).  Property tests
-// use it to validate the statistics path pixel-by-pixel, and the transform
-// module applies real per-pixel backlight compensation / color transforms
-// to these frames — the computation LPVS offloads from phones to the edge.
+// buffers, a synthesizer that renders genre-faithful frames, and
+// gamma-correct statistics extraction.  Property tests use it to validate
+// the statistics path pixel-by-pixel against the transform module's
+// per-pixel reference implementations.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +66,8 @@ display::FrameStats compute_stats(const Frame& frame);
 
 /// Renders genre-faithful synthetic frames: a luminance-graded background,
 /// a few colored content regions, a bright highlight, and sensor noise —
-/// enough structure for the stats extraction, transforms and quality
-/// metrics to be exercised on non-trivial content.
+/// enough structure for the stats extraction and transforms to be
+/// exercised on non-trivial content.
 class FrameSynthesizer {
  public:
   explicit FrameSynthesizer(std::uint64_t seed) : rng_(seed) {}
@@ -82,14 +81,5 @@ class FrameSynthesizer {
  private:
   common::Rng rng_;
 };
-
-/// Peak signal-to-noise ratio over all channels, dB.  Identical frames
-/// return +infinity.
-double psnr(const Frame& a, const Frame& b);
-
-/// Global SSIM on the luminance plane (single-window variant: mean,
-/// variance and covariance over the whole frame).  1.0 for identical
-/// frames; decreases with structural distortion.
-double ssim_luma(const Frame& a, const Frame& b);
 
 }  // namespace lpvs::media

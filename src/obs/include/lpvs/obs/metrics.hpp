@@ -204,7 +204,7 @@ MetricsDelta delta_since(const MetricsSnapshot& older,
 ///
 /// Naming convention (docs/observability.md): lpvs_<module>_<what>[_<unit>]
 /// with counters suffixed _total, e.g. lpvs_scheduler_solve_ms,
-/// lpvs_emu_giveups_total, lpvs_cache_lru_hits_total.
+/// lpvs_emu_giveups_total, lpvs_server_decode_errors_total.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

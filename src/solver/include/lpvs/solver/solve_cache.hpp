@@ -20,8 +20,8 @@
 // cluster / problem stream).  The cache is thread-safe; concurrent solves
 // for *distinct* keys are deterministic.  Two in-flight solves sharing a
 // key race on the stored entry — correctness survives (a stale or fresher
-// incumbent only changes pruning), determinism does not, so batch layers
-// must keep keys unique within a batch (core::BatchScheduler asserts it).
+// incumbent only changes pruning), determinism does not, so callers that
+// solve clusters concurrently must give each cluster its own key.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +114,6 @@ class SolveCache {
   std::vector<int> previous_assignment(std::uint64_t key) const;
 
   SolveCacheStats stats() const;
-  std::size_t size() const;
   void clear();
 
   /// One stream's stored entry as plain data — what a server checkpoint

@@ -254,11 +254,6 @@ SolveCacheStats SolveCache::stats() const {
   return stats_;
 }
 
-std::size_t SolveCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 void SolveCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();

@@ -1,16 +1,10 @@
-// Per-pixel transform pipeline (reproduction extension).
+// Per-pixel reference implementations (reproduction extension).
 //
-// The statistics-based transforms in transform.hpp predict power and
-// quality from channel means; this module performs the actual per-pixel
-// work those predictions summarize — the computation that is "operated on
-// a per-pixel basis and thus computation intensive" (SII-B), i.e. exactly
-// what LPVS offloads from phones to the edge server:
-//
-//  * OLED color transform: scale each pixel's linear-light channels
-//    (darken, blue/red attenuation) and re-encode to sRGB;
-//  * LCD backlight scaling with luminance compensation: boost pixel values
-//    by the backlight ratio, clipping only the highlights the quality
-//    budget sacrificed.
+// The statistics-based transforms in transform.hpp predict power from
+// channel means; this module performs the actual per-pixel work those
+// predictions summarize — the computation that is "operated on a per-pixel
+// basis and thus computation intensive" (SII-B), i.e. exactly what LPVS
+// offloads from phones to the edge server.
 //
 // Because the OLED power model is linear in per-pixel channel values, the
 // per-pixel power sum must equal the stats-based model evaluated on the
@@ -30,56 +24,10 @@ common::Milliwatts oled_power_per_pixel(const display::OledPowerModel& model,
                                         const display::DisplaySpec& spec,
                                         const media::Frame& frame);
 
-/// Applies the OLED color transform pixel-by-pixel (linear-light domain).
+/// Applies the OLED color transform pixel-by-pixel (linear-light domain):
+/// scales each pixel's linear channels (darken, blue/red attenuation) and
+/// re-encodes to sRGB.
 media::Frame apply_color_transform(const media::Frame& frame,
                                    const QualityBudget& budget);
-
-/// Applies LCD luminance compensation for a backlight scaled from
-/// `original_backlight` down to `scaled_backlight`: every pixel's linear
-/// channels are multiplied by original/scaled and clipped at white.
-media::Frame apply_backlight_compensation(const media::Frame& frame,
-                                          double original_backlight,
-                                          double scaled_backlight);
-
-/// What a frame looks like on screen: linear pixel values attenuated by
-/// the backlight level (identity for OLED).  Used to verify that
-/// compensation preserves perceived luminance except for clipping.
-media::Frame perceived_lcd_frame(const media::Frame& frame,
-                                 double backlight_level);
-
-/// Full per-pixel transform of one frame for one device, with measured
-/// power and quality.
-struct PixelTransformReport {
-  media::Frame transformed;
-  common::Milliwatts display_power_before;
-  common::Milliwatts display_power_after;
-  double psnr_db = 0.0;   ///< vs the *perceived* original
-  double ssim = 0.0;      ///< vs the *perceived* original
-  double backlight_level = 1.0;  ///< LCD only
-
-  double display_saving_fraction() const {
-    return display_power_before.value > 0.0
-               ? (display_power_before.value - display_power_after.value) /
-                     display_power_before.value
-               : 0.0;
-  }
-};
-
-/// Runs the device-appropriate per-pixel transform on a frame and measures
-/// power (per-pixel for OLED, backlight model for LCD) and quality.
-class PixelPipeline {
- public:
-  explicit PixelPipeline(display::DevicePowerModel device_model = {},
-                         QualityBudget budget = {});
-
-  PixelTransformReport transform_frame(const display::DisplaySpec& spec,
-                                       const media::Frame& frame) const;
-
-  const QualityBudget& budget() const { return budget_; }
-
- private:
-  display::DevicePowerModel device_model_;
-  QualityBudget budget_;
-};
 
 }  // namespace lpvs::transform

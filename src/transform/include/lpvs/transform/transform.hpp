@@ -116,9 +116,6 @@ class TransformEngine {
                      const media::Video& video,
                      std::span<const double> playback_mw) const;
 
-  const display::DevicePowerModel& device_model() const {
-    return device_model_;
-  }
   const QualityBudget& budget() const { return budget_; }
 
  private:

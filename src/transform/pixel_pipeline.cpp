@@ -1,7 +1,6 @@
 #include "lpvs/transform/pixel_pipeline.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace lpvs::transform {
@@ -55,77 +54,6 @@ media::Frame apply_color_transform(const media::Frame& frame,
     }
   }
   return out;
-}
-
-media::Frame apply_backlight_compensation(const media::Frame& frame,
-                                          double original_backlight,
-                                          double scaled_backlight) {
-  assert(scaled_backlight > 0.0);
-  const double boost = original_backlight / scaled_backlight;
-  media::Frame out = frame;
-  for (int y = 0; y < out.height(); ++y) {
-    for (int x = 0; x < out.width(); ++x) {
-      const media::Pixel p = out.at(x, y);
-      out.set(x, y,
-              {scale_channel(p.r, boost), scale_channel(p.g, boost),
-               scale_channel(p.b, boost)});
-    }
-  }
-  return out;
-}
-
-media::Frame perceived_lcd_frame(const media::Frame& frame,
-                                 double backlight_level) {
-  media::Frame out = frame;
-  for (int y = 0; y < out.height(); ++y) {
-    for (int x = 0; x < out.width(); ++x) {
-      const media::Pixel p = out.at(x, y);
-      out.set(x, y,
-              {scale_channel(p.r, backlight_level),
-               scale_channel(p.g, backlight_level),
-               scale_channel(p.b, backlight_level)});
-    }
-  }
-  return out;
-}
-
-PixelPipeline::PixelPipeline(display::DevicePowerModel device_model,
-                             QualityBudget budget)
-    : device_model_(device_model), budget_(budget) {}
-
-PixelTransformReport PixelPipeline::transform_frame(
-    const display::DisplaySpec& spec, const media::Frame& frame) const {
-  PixelTransformReport report;
-  if (spec.type == display::DisplayType::kOled) {
-    report.transformed = apply_color_transform(frame, budget_);
-    report.display_power_before =
-        oled_power_per_pixel(device_model_.oled(), spec, frame);
-    report.display_power_after =
-        oled_power_per_pixel(device_model_.oled(), spec, report.transformed);
-    // OLED shows pixels directly: quality is measured frame-to-frame.
-    report.psnr_db = media::psnr(frame, report.transformed);
-    report.ssim = media::ssim_luma(frame, report.transformed);
-    return report;
-  }
-
-  // LCD: choose the backlight from the frame's measured statistics (the
-  // same policy BacklightScaling applies to chunk statistics), then
-  // compensate pixel values and compare *perceived* images.
-  const display::FrameStats stats = media::compute_stats(frame);
-  const BacklightScaling scaling(device_model_.lcd(), budget_);
-  const ChunkTransform decision = scaling.apply(spec, stats);
-  report.backlight_level = decision.backlight_level;
-  report.transformed = apply_backlight_compensation(frame, spec.brightness,
-                                                    decision.backlight_level);
-  report.display_power_before = decision.display_power_before;
-  report.display_power_after = decision.display_power_after;
-  const media::Frame seen_before =
-      perceived_lcd_frame(frame, spec.brightness);
-  const media::Frame seen_after =
-      perceived_lcd_frame(report.transformed, decision.backlight_level);
-  report.psnr_db = media::psnr(seen_before, seen_after);
-  report.ssim = media::ssim_luma(seen_before, seen_after);
-  return report;
 }
 
 }  // namespace lpvs::transform

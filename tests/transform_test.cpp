@@ -189,17 +189,17 @@ TEST(TransformEngine, EmptyVideoGammaZero) {
 }
 
 TEST(TransformEngine, VideoGammaIsEnergyWeightedChunkGamma) {
-  const TransformEngine engine;
+  const display::DevicePowerModel model;
+  const TransformEngine engine(model);
   media::ContentGenerator generator(3);
   const media::Video video = generator.generate(
       common::VideoId{5}, media::Genre::kMovie, 15, 3.0);
   double saved = 0.0;
   double base = 0.0;
   for (const auto& chunk : video.chunks) {
-    const double total = engine.device_model()
-                             .playback_power(oled_spec(), chunk.stats,
-                                             chunk.bitrate_mbps)
-                             .value;
+    const double total =
+        model.playback_power(oled_spec(), chunk.stats, chunk.bitrate_mbps)
+            .value;
     base += total * chunk.duration.value;
     saved += engine.chunk_gamma(oled_spec(), chunk) * total *
              chunk.duration.value;
@@ -210,8 +210,9 @@ TEST(TransformEngine, VideoGammaIsEnergyWeightedChunkGamma) {
 TEST(TransformEngine, PricedVideoGammaIsBitIdentical) {
   // The priced overload must do the same sums in the same order as the
   // form that prices every chunk itself.
-  const TransformEngine engine;
-  const media::PowerRateEstimator estimator(engine.device_model());
+  const display::DevicePowerModel model;
+  const TransformEngine engine(model);
+  const media::PowerRateEstimator estimator(model);
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     media::ContentGenerator generator(seed);
     for (int g = 0; g < media::kGenreCount; ++g) {
