@@ -124,6 +124,107 @@ TEST(FaultInjector, EverySiteHasAName) {
   }
 }
 
+TEST(FaultInjector, UniformConfigEnablesEverySiteAlike) {
+  const auto config = fault::FaultInjector::Config::uniform(9, 0.1, 0.2, 0.3);
+  const fault::FaultInjector injector(config);
+  EXPECT_TRUE(injector.enabled());
+  EXPECT_EQ(injector.config().seed, 9u);
+  for (int s = 0; s < fault::kFaultSiteCount; ++s) {
+    const auto site = static_cast<fault::FaultSite>(s);
+    EXPECT_TRUE(injector.site_enabled(site)) << fault::fault_site_name(site);
+    EXPECT_EQ(config.site(site).drop, 0.1);
+    EXPECT_EQ(config.site(site).delay, 0.2);
+    EXPECT_EQ(config.site(site).corrupt, 0.3);
+  }
+}
+
+TEST(FaultInjector, DelayDecisionsCarryExponentialDelays) {
+  fault::FaultInjector::Config config;
+  fault::SiteConfig& site = config.site(fault::FaultSite::kSignalingDownlink);
+  site.delay = 1.0;
+  site.delay_ms_mean = 40.0;
+  const fault::FaultInjector injector(config);
+  constexpr int kDraws = 4000;
+  double total_ms = 0.0;
+  for (std::uint64_t key = 0; key < kDraws; ++key) {
+    const fault::FaultDecision d =
+        injector.decide(fault::FaultSite::kSignalingDownlink, key);
+    ASSERT_TRUE(d.delayed()) << "key " << key;
+    EXPECT_FALSE(d.dropped() || d.corrupted() || d.none());
+    ASSERT_GE(d.delay_ms, 0.0);
+    EXPECT_EQ(d.corrupt_factor, 0.0);
+    total_ms += d.delay_ms;
+  }
+  // Mean of 4000 exponential draws: standard error is 40/sqrt(4000) ~ 0.6.
+  EXPECT_NEAR(total_ms / kDraws, 40.0, 3.0);
+  EXPECT_EQ(injector.stats().delays, kDraws);
+  EXPECT_EQ(injector.stats().drops, 0);
+}
+
+TEST(FaultInjector, CorruptFactorsStayWithinTheConfiguredScale) {
+  fault::FaultInjector::Config config;
+  fault::SiteConfig& site = config.site(fault::FaultSite::kBayesReport);
+  site.corrupt = 1.0;
+  site.corrupt_scale = 0.1;
+  const fault::FaultInjector injector(config);
+  bool saw_negative = false;
+  bool saw_positive = false;
+  for (std::uint64_t key = 0; key < 500; ++key) {
+    const fault::FaultDecision d =
+        injector.decide(fault::FaultSite::kBayesReport, key, key + 1);
+    ASSERT_TRUE(d.corrupted()) << "key " << key;
+    EXPECT_GE(d.corrupt_factor, -0.1);
+    EXPECT_LE(d.corrupt_factor, 0.1);
+    EXPECT_EQ(d.delay_ms, 0.0);
+    saw_negative = saw_negative || d.corrupt_factor < 0.0;
+    saw_positive = saw_positive || d.corrupt_factor > 0.0;
+  }
+  EXPECT_TRUE(saw_negative && saw_positive);  // symmetric, not one-sided
+  EXPECT_EQ(injector.stats().corruptions, 500);
+}
+
+TEST(FaultInjector, DropIsCheckedBeforeDelayAndCorrupt) {
+  fault::FaultInjector::Config config;
+  fault::SiteConfig& site = config.site(fault::FaultSite::kChunkDelivery);
+  site.drop = 1.0;
+  site.delay = 1.0;
+  site.corrupt = 1.0;
+  const fault::FaultInjector injector(config);
+  for (std::uint64_t key = 0; key < 100; ++key) {
+    EXPECT_TRUE(injector.decide(fault::FaultSite::kChunkDelivery, key)
+                    .dropped());
+  }
+  EXPECT_EQ(injector.stats().injected(), injector.stats().drops);
+}
+
+TEST(FaultInjector, ResetStatsClearsTotalsButNotDecisions) {
+  fault::FaultInjector injector(
+      fault::FaultInjector::Config::uniform(21, 0.3, 0.3, 0.3));
+  std::vector<fault::FaultKind> before;
+  for (std::uint64_t key = 0; key < 200; ++key) {
+    before.push_back(injector.decide(fault::FaultSite::kNetworkLink, key).kind);
+  }
+  // Only enabled sites count as decisions.
+  const fault::FaultInjector clean;
+  (void)clean.decide(fault::FaultSite::kNetworkLink, 1);
+  EXPECT_EQ(clean.stats().decisions, 0);
+
+  EXPECT_EQ(injector.stats().decisions, 200);
+  EXPECT_GT(injector.stats().injected(), 0);
+  injector.reset_stats();
+  const fault::FaultStats zeroed = injector.stats();
+  EXPECT_EQ(zeroed.decisions, 0);
+  EXPECT_EQ(zeroed.injected(), 0);
+  for (long by_site : zeroed.drops_by_site) EXPECT_EQ(by_site, 0);
+
+  for (std::uint64_t key = 0; key < 200; ++key) {
+    EXPECT_EQ(injector.decide(fault::FaultSite::kNetworkLink, key).kind,
+              before[key])
+        << "key " << key;
+  }
+  EXPECT_EQ(injector.stats().decisions, 200);
+}
+
 // ------------------------------------------------------------- backoff --
 
 TEST(Backoff, ScheduleIsDeterministicAndExponential) {

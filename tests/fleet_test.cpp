@@ -201,6 +201,20 @@ TEST(FleetPlacement, LeaveRestoresExactPriorAssignments) {
   }
 }
 
+TEST(FleetPlacement, PlaceAllMatchesPerUserPlacementInOrder) {
+  const fleet::Placement placement(uniform_servers(6));
+  std::vector<std::uint64_t> users;
+  for (std::uint64_t u = 0; u < 300; ++u) users.push_back(u * 104729 + 3);
+  users.push_back(users.front());  // duplicates are placed, not deduplicated
+  const std::vector<std::uint64_t> owners = placement.place_all(users);
+  ASSERT_EQ(owners.size(), users.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    EXPECT_EQ(owners[i], placement.place(users[i])) << "user " << users[i];
+  }
+  EXPECT_EQ(owners.back(), owners.front());
+  EXPECT_TRUE(placement.place_all({}).empty());
+}
+
 // ------------------------------------------------------- session codec --
 
 TEST(FleetHandoff, SessionRoundTripIsBitExact) {
@@ -250,6 +264,79 @@ TEST(FleetHandoff, DecodeRejectsCorruptionAndTruncation) {
   std::vector<std::uint8_t> foreign = bytes;
   foreign[0] ^= 0xFFu;  // breaks the magic *and* the checksum
   EXPECT_FALSE(fleet::decode_session(foreign).ok());
+}
+
+void expect_same_session(const fleet::SessionState& out,
+                         const fleet::SessionState& in) {
+  EXPECT_EQ(out.user, in.user);
+  EXPECT_EQ(out.gamma.mean, in.gamma.mean);
+  EXPECT_EQ(out.gamma.variance, in.gamma.variance);
+  EXPECT_EQ(out.gamma.observations, in.gamma.observations);
+  EXPECT_EQ(out.nig.mean, in.nig.mean);
+  EXPECT_EQ(out.nig.kappa, in.nig.kappa);
+  EXPECT_EQ(out.nig.alpha, in.nig.alpha);
+  EXPECT_EQ(out.nig.beta, in.nig.beta);
+  EXPECT_EQ(out.battery_fraction, in.battery_fraction);
+  EXPECT_EQ(out.last_assignment, in.last_assignment);
+  EXPECT_EQ(out.slots_served, in.slots_served);
+}
+
+TEST(FleetHandoff, SessionBodiesConcatenateInsideAnOuterFrame) {
+  // The unframed body is what a checkpoint embeds many of: bodies must
+  // be self-delimiting so they can be read back to back.
+  std::vector<fleet::SessionState> sessions;
+  for (std::uint64_t user : {4u, 17u, 230u}) {
+    sessions.push_back(sample_session(user));
+  }
+  fleet::wire::Writer w;
+  w.u32(static_cast<std::uint32_t>(sessions.size()));
+  for (const fleet::SessionState& s : sessions) {
+    fleet::encode_session_body(w, s);
+  }
+  w.u8(0x5A);  // trailing field of the enclosing frame
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  fleet::wire::Reader r(bytes);
+  std::uint32_t count = 0;
+  ASSERT_TRUE(r.u32(count));
+  ASSERT_EQ(count, sessions.size());
+  for (const fleet::SessionState& want : sessions) {
+    fleet::SessionState got;
+    ASSERT_TRUE(fleet::decode_session_body(r, got));
+    expect_same_session(got, want);
+  }
+  std::uint8_t trailer = 0;
+  ASSERT_TRUE(r.u8(trailer));
+  EXPECT_EQ(trailer, 0x5A);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(FleetHandoff, SessionBodyCutAnywhereFailsToDecode) {
+  fleet::wire::Writer w;
+  fleet::encode_session_body(w, sample_session(8));
+  const std::vector<std::uint8_t> full = w.take();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(
+        full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+    fleet::wire::Reader r(prefix);
+    fleet::SessionState state;
+    EXPECT_FALSE(fleet::decode_session_body(r, state)) << "cut " << cut;
+  }
+  fleet::wire::Reader r(full);
+  fleet::SessionState state;
+  EXPECT_TRUE(fleet::decode_session_body(r, state));
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(FleetHandoff, SealedEncodingIsAPureFunctionOfTheState) {
+  const fleet::SessionState state = sample_session(21);
+  EXPECT_EQ(fleet::encode_session(state), fleet::encode_session(state));
+  fleet::SessionState moved = state;
+  moved.slots_served += 1;
+  EXPECT_NE(fleet::encode_session(moved), fleet::encode_session(state));
+  // Same length: every field is fixed-width, so sizes never leak state.
+  EXPECT_EQ(fleet::encode_session(moved).size(),
+            fleet::encode_session(state).size());
 }
 
 TEST(FleetHandoff, CleanChannelTransfersFirstAttempt) {

@@ -1,6 +1,8 @@
 // Tests for the JSON builder and the metrics serialization.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lpvs/common/json.hpp"
 #include "lpvs/emu/metrics_io.hpp"
 
@@ -59,6 +61,40 @@ TEST(JsonTest, EscapingControlAndQuotes) {
   EXPECT_EQ(Json("back\\slash").dump(), "\"back\\\\slash\"");
   EXPECT_EQ(Json("line\nbreak").dump(), "\"line\\nbreak\"");
   EXPECT_EQ(Json(std::string(1, '\x01')).dump(), "\"\\u0001\"");
+}
+
+TEST(JsonTest, NullnessAndSizeByKind) {
+  EXPECT_TRUE(Json().is_null());
+  EXPECT_FALSE(Json(0).is_null());
+  EXPECT_FALSE(Json("").is_null());
+  EXPECT_FALSE(Json::object().is_null());
+  EXPECT_TRUE(Json::object().is_object());
+  EXPECT_TRUE(Json::array().is_array());
+  EXPECT_EQ(Json(3.5).size(), 0u);
+  // A default (null) value becomes a container on first set/push.
+  Json grown;
+  grown.set("a", 1).set("b", 2).set("a", 3);
+  EXPECT_TRUE(grown.is_object());
+  EXPECT_EQ(grown.size(), 2u);
+  Json list;
+  list.push(Json()).push(Json());
+  EXPECT_TRUE(list.is_array());
+  EXPECT_EQ(list.size(), 2u);
+  EXPECT_EQ(list.dump(), "[null,null]");
+}
+
+TEST(JsonTest, EscapeQuotesAndMatchesStringDump) {
+  EXPECT_EQ(Json::escape(""), "\"\"");
+  EXPECT_EQ(Json::escape("tab\there"), "\"tab\\there\"");
+  EXPECT_EQ(Json::escape("cr\r"), "\"cr\\r\"");
+  // UTF-8 passes through untouched; only control bytes are \u-escaped.
+  EXPECT_EQ(Json::escape("caf\xc3\xa9"), "\"caf\xc3\xa9\"");
+  EXPECT_EQ(Json::escape(std::string(1, '\x1f')), "\"\\u001f\"");
+  for (const std::string raw : {"plain", "a\"b", "x\\y", "line\nbreak"}) {
+    EXPECT_EQ(Json::escape(raw), Json(raw).dump()) << raw;
+  }
+  // Keys go through the same escaping.
+  EXPECT_EQ(Json::object().set("k\"ey", 1).dump(), "{\"k\\\"ey\":1}");
 }
 
 TEST(JsonTest, PrettyPrinting) {

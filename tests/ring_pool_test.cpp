@@ -109,6 +109,19 @@ TEST(MpscRing, PushPopRoundTripAndFull) {
   EXPECT_FALSE(ring.try_pop(out));
 }
 
+TEST(MpscRing, CapacityRoundsUpAndZeroStillHoldsTwo) {
+  EXPECT_EQ(MpscRing<int>(0).capacity(), 2u);
+  EXPECT_EQ(MpscRing<int>(5).capacity(), 8u);
+  EXPECT_EQ(SpscRing<int>(0).capacity(), 2u);
+  MpscRing<int> ring(0);
+  EXPECT_TRUE(ring.try_push(1));
+  EXPECT_TRUE(ring.try_push(2));
+  EXPECT_FALSE(ring.try_push(3));
+  int out = 0;
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(out, 1);
+}
+
 TEST(MpscRing, WraparoundKeepsFifoPerLap) {
   MpscRing<int> ring(2);
   for (int lap = 0; lap < 5000; ++lap) {

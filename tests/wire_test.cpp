@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "lpvs/fleet/wire.hpp"
 
@@ -154,6 +156,61 @@ TEST(WireSeal, DetectsEveryBitFlip) {
 TEST(WireSeal, ShortBufferIsDataLoss) {
   std::vector<std::uint8_t> bytes(7, 0);  // shorter than a trailer
   EXPECT_EQ(wire::unseal(bytes).code(), StatusCode::kDataLoss);
+}
+
+TEST(WireSeal, VerifySealChecksInPlaceWithoutTruncating) {
+  wire::Writer w;
+  w.u64(0xC0FFEEULL);
+  w.f64(-2.75);
+  std::vector<std::uint8_t> sealed = w.take();
+  wire::seal(sealed);
+  const std::vector<std::uint8_t> original = sealed;
+  EXPECT_TRUE(wire::verify_seal(sealed.data(), sealed.size()).ok());
+  EXPECT_EQ(sealed, original);  // span form neither copies nor truncates
+
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    std::vector<std::uint8_t> flipped = sealed;
+    flipped[i] ^= 0x01u;
+    EXPECT_EQ(wire::verify_seal(flipped.data(), flipped.size()).code(),
+              StatusCode::kDataLoss)
+        << "byte " << i;
+  }
+  EXPECT_EQ(wire::verify_seal(sealed.data(), 7).code(), StatusCode::kDataLoss);
+  // The trailer covers its prefix only: dropping a payload byte breaks it.
+  EXPECT_FALSE(wire::verify_seal(sealed.data() + 1, sealed.size() - 1).ok());
+}
+
+TEST(WireSeal, SuffixSealCoversEachFrameAlone) {
+  // Two frames sealed back to back in one buffer, as the in-place encode
+  // path writes them: each verifies on its own span.
+  std::vector<std::uint8_t> buffer;
+  wire::Writer w(&buffer);
+  w.u32(7);
+  w.str("first");
+  wire::seal(buffer, 0);
+  const std::size_t second_start = buffer.size();
+  w.u64(99);
+  wire::seal(buffer, second_start);
+
+  EXPECT_TRUE(wire::verify_seal(buffer.data(), second_start).ok());
+  EXPECT_TRUE(wire::verify_seal(buffer.data() + second_start,
+                                buffer.size() - second_start)
+                  .ok());
+  // The whole buffer is not one sealed payload.
+  EXPECT_FALSE(wire::verify_seal(buffer.data(), buffer.size()).ok());
+
+  std::vector<std::uint8_t> first(buffer.begin(),
+                                  buffer.begin() + static_cast<std::ptrdiff_t>(
+                                                       second_start));
+  ASSERT_TRUE(wire::unseal(first).ok());
+  wire::Reader r(first);
+  std::uint32_t seven = 0;
+  std::string text;
+  ASSERT_TRUE(r.u32(seven));
+  ASSERT_TRUE(r.str(text));
+  EXPECT_EQ(seven, 7u);
+  EXPECT_EQ(text, "first");
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(WireChecksum, IncrementalMatchesOneShot) {
