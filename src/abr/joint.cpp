@@ -17,12 +17,13 @@ double slot_seconds(const core::DeviceSlotInput& device) {
 /// the chosen transform plus the rung's receive+decode energy must fit the
 /// device's remaining energy — the rung-aware analogue of constraint (11)'s
 /// role as an eligibility filter.
-bool battery_affords(const core::DeviceSlotInput& device, bool transformed,
+/// `untransformed_mwh` is core::untransformed_energy_mwh(device).
+bool battery_affords(const core::DeviceSlotInput& device,
+                     double untransformed_mwh, bool transformed,
                      const LadderModel& ladder, std::size_t rung,
                      double seconds) {
   const double display_mwh =
-      core::untransformed_energy_mwh(device) *
-      (transformed ? 1.0 - device.gamma : 1.0);
+      untransformed_mwh * (transformed ? 1.0 - device.gamma : 1.0);
   return display_mwh + ladder.receive_energy_mwh(rung, seconds) <=
          device.initial_energy_mwh;
 }
@@ -50,18 +51,32 @@ JointProgram build_joint_program(const JointSlotProblem& problem,
   joint.device_count = n;
 
   // Pass 1: enumerate admissible menu entries in (device, transform, rung)
-  // order — the deterministic column order every solver sees.
+  // order — the deterministic column order every solver sees — and price
+  // each device once for all of its entries.
+  std::vector<double> seconds(n, 0.0);
+  std::vector<double> benefit(n, 0.0);
   for (std::size_t d = 0; d < n; ++d) {
     const core::DeviceSlotInput& device = problem.base.devices[d];
     const DeviceStreamState& stream = problem.streams[d];
-    const double seconds = slot_seconds(device);
+    seconds[d] = slot_seconds(device);
+    const double untransformed_mwh = core::untransformed_energy_mwh(device);
     const bool transform_ok = core::eligible_for_transform(device);
+    if (transform_ok) {
+      // The (13) benefit of turning the transform on — identical to what
+      // JointOptimalScheduler maximizes, so the transform-only projection
+      // of this program is the existing separable program.
+      benefit[d] = core::transform_benefit(
+          device, anxiety, problem.base.lambda * device.sla_weight);
+    }
     for (int t = 0; t <= 1; ++t) {
       if (t == 1 && !transform_ok) continue;
       for (std::size_t m = 0; m < ladder.size(); ++m) {
         if (t == 0 && m == 0) continue;  // the implicit baseline
-        if (!throughput_admits(problem, stream, m, seconds)) continue;
-        if (!battery_affords(device, t == 1, ladder, m, seconds)) continue;
+        if (!throughput_admits(problem, stream, m, seconds[d])) continue;
+        if (!battery_affords(device, untransformed_mwh, t == 1, ladder, m,
+                             seconds[d])) {
+          continue;
+        }
         if (m > 0 && problem.qoe_floor > 0.0 &&
             ladder.utility(m) < problem.qoe_floor) {
           continue;
@@ -85,23 +100,16 @@ JointProgram build_joint_program(const JointSlotProblem& problem,
   for (std::size_t j = 0; j < cols; ++j) {
     const JointProgram::Entry& entry = joint.entries[j];
     const core::DeviceSlotInput& device = problem.base.devices[entry.device];
-    const double seconds = slot_seconds(device);
-    const double effective_lambda = problem.base.lambda * device.sla_weight;
 
     double c = 0.0;
     if (entry.transform != 0) {
-      // The (13) benefit of turning the transform on — identical to what
-      // JointOptimalScheduler maximizes, so the transform-only projection
-      // of this program is the existing separable program.
-      c += core::compacted_objective(device, false, anxiety,
-                                     effective_lambda) -
-           core::compacted_objective(device, true, anxiety,
-                                     effective_lambda);
+      c += benefit[entry.device];
       program.rows[0][j] = device.compute_cost;
       program.rows[1][j] = device.storage_cost;
     }
     c += problem.qoe_weight * ladder.utility(entry.rung);
-    const double rx_mwh = ladder.incremental_energy_mwh(entry.rung, seconds);
+    const double rx_mwh =
+        ladder.incremental_energy_mwh(entry.rung, seconds[entry.device]);
     c -= problem.receive_energy_weight * rx_mwh;
     program.rows[2][j] = rx_mwh;
     program.rows[3 + entry.device][j] = 1.0;  // one decision per user

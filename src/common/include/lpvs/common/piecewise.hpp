@@ -4,6 +4,8 @@
 // scheduler evaluates / integrates the curve when scoring schedules.
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -25,6 +27,8 @@ class PiecewiseLinear {
                                               double x0 = 0.0,
                                               double dx = 1.0);
 
+  /// Interpolated y at x.  NaN in gives NaN out.  Defined inline below:
+  /// the scheduler prices every chunk of every device through it.
   double operator()(double x) const;
 
   std::size_t size() const { return xs_.size(); }
@@ -48,5 +52,25 @@ class PiecewiseLinear {
   std::vector<double> xs_;
   std::vector<double> ys_;
 };
+
+inline double PiecewiseLinear::operator()(double x) const {
+  assert(!xs_.empty());
+  if (x <= xs_.front()) return ys_.front();
+  if (x >= xs_.back()) return ys_.back();
+  if (std::isnan(x)) return x;
+  // Here x_min < x < x_max, so there are at least two knots.  Branchless
+  // search for the last knot at or below x: the segment std::upper_bound
+  // would pick, and never the last knot, so hi stays in range.
+  const double* lo_knot = xs_.data();
+  for (std::size_t len = xs_.size(); len > 1;) {
+    const std::size_t half = len / 2;
+    lo_knot = lo_knot[half] <= x ? lo_knot + half : lo_knot;
+    len -= half;
+  }
+  const auto lo = static_cast<std::size_t>(lo_knot - xs_.data());
+  const std::size_t hi = lo + 1;
+  const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
+  return ys_[lo] + t * (ys_[hi] - ys_[lo]);
+}
 
 }  // namespace lpvs::common

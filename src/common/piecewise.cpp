@@ -28,17 +28,6 @@ PiecewiseLinear PiecewiseLinear::from_uniform_samples(std::vector<double> ys,
   return PiecewiseLinear(std::move(xs), std::move(ys));
 }
 
-double PiecewiseLinear::operator()(double x) const {
-  assert(!xs_.empty());
-  if (x <= xs_.front()) return ys_.front();
-  if (x >= xs_.back()) return ys_.back();
-  const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  const auto hi = static_cast<std::size_t>(it - xs_.begin());
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
-  return ys_[lo] + t * (ys_[hi] - ys_[lo]);
-}
-
 bool PiecewiseLinear::non_increasing(double tol) const {
   for (std::size_t i = 1; i < ys_.size(); ++i) {
     if (ys_[i] > ys_[i - 1] + tol) return false;

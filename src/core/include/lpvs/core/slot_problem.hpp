@@ -83,6 +83,14 @@ double compacted_objective(const DeviceSlotInput& device, bool transformed,
                            const survey::AnxietyModel& anxiety,
                            double lambda);
 
+/// How much serving this device transformed lowers its (13) term:
+/// compacted_objective(untransformed) - compacted_objective(transformed),
+/// with `lambda` the device's effective regularizer (lambda * sla_weight).
+/// Phase-2's swap rule, the joint-optimal program and the joint ABR
+/// program all weigh a device's transform by this one number.
+double transform_benefit(const DeviceSlotInput& device,
+                         const survey::AnxietyModel& anxiety, double lambda);
+
 /// Left-hand side minus right-hand side of the compacted energy constraint
 /// (11); non-negative means the device can afford the slot when
 /// transformed.  Exposed separately so tests can check the telescoped

@@ -192,10 +192,12 @@ Schedule score_selection(const SlotProblem& problem,
   for (std::size_t n = 0; n < problem.devices.size(); ++n) {
     const DeviceSlotInput& device = problem.devices[n];
     const bool transformed = schedule.x[n] != 0;
-    const DeviceEvaluation with =
-        evaluate_forward(device, transformed, anxiety);
     const DeviceEvaluation without =
         evaluate_forward(device, /*transformed=*/false, anxiety);
+    // An unselected device plays the untransformed slot: one pass suffices.
+    const DeviceEvaluation with =
+        transformed ? evaluate_forward(device, /*transformed=*/true, anxiety)
+                    : without;
     const double effective_lambda = problem.lambda * device.sla_weight;
     schedule.objective += with.objective(effective_lambda);
     schedule.baseline_objective += without.objective(effective_lambda);
@@ -336,21 +338,24 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
     // --- Phase-2: anxiety-aware swapping on the full objective (13). ---
     // The objective is separable across devices, so a swap's effect is the
     // difference of per-device benefits (objective reduction if served).
+    // Benefits are priced on demand: up front only for the unselected
+    // eligible users (the only ones a swap can bring in), and for a
+    // selected user the first time a victim scan weighs it.  When capacity
+    // does not bind, Phase-1 selected every eligible user and nothing is
+    // priced at all.
     std::vector<double> benefit(n, 0.0);
-    std::vector<double> start_anxiety(n, 0.0);
-    for (std::size_t j = 0; j < n; ++j) {
-      const DeviceSlotInput& device = problem.devices[j];
-      start_anxiety[j] = anxiety(device.initial_energy_mwh /
-                                 device.battery_capacity_mwh);
-      if (!eligible_for_transform(device)) {
-        benefit[j] = -1.0;  // never brought in by a swap
-        continue;
+    std::vector<char> priced(n, 0);
+    const auto benefit_of = [&](std::size_t j) {
+      if (!priced[j]) {
+        const DeviceSlotInput& device = problem.devices[j];
+        benefit[j] = program.is_eligible(j)
+                         ? transform_benefit(device, anxiety,
+                                             problem.lambda * device.sla_weight)
+                         : -1.0;  // never brought in by a swap
+        priced[j] = 1;
       }
-      const double effective_lambda = problem.lambda * device.sla_weight;
-      benefit[j] =
-          compacted_objective(device, false, anxiety, effective_lambda) -
-          compacted_objective(device, true, anxiety, effective_lambda);
-    }
+      return benefit[j];
+    };
 
     CapacityTracker capacity(problem);
     for (std::size_t j = 0; j < n; ++j) {
@@ -360,8 +365,14 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
     // Unselected users ranked by anxiety degree, most anxious first —
     // the paper's "first (N - N') devices with the largest anxiety".
     std::vector<std::size_t> anxious;
+    std::vector<double> start_anxiety(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) {
-      if (!x[j] && benefit[j] >= 0.0) anxious.push_back(j);
+      if (!x[j] && benefit_of(j) >= 0.0) {
+        const DeviceSlotInput& device = problem.devices[j];
+        start_anxiety[j] =
+            anxiety(device.initial_energy_mwh / device.battery_capacity_mwh);
+        anxious.push_back(j);
+      }
     }
     std::sort(anxious.begin(), anxious.end(),
               [&](std::size_t a, std::size_t b) {
@@ -389,7 +400,7 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
         double victim_benefit = benefit[u] - kTol;
         for (std::size_t s = 0; s < n; ++s) {
           if (!x[s] || s == u) continue;
-          if (benefit[s] >= victim_benefit) continue;
+          if (benefit_of(s) >= victim_benefit) continue;
           capacity.remove(problem.devices[s]);
           const bool fits = capacity.fits(incoming);
           capacity.add(problem.devices[s]);
@@ -542,11 +553,10 @@ Schedule JointOptimalScheduler::schedule(const SlotProblem& problem,
   for (std::size_t j = 0; j < n; ++j) {
     const DeviceSlotInput& device = problem.devices[j];
     const bool ok = eligible_for_transform(device);
-    const double effective_lambda = problem.lambda * device.sla_weight;
     program.eligible[j] = ok ? 1 : 0;
     program.objective[j] =
-        ok ? compacted_objective(device, false, anxiety, effective_lambda) -
-                 compacted_objective(device, true, anxiety, effective_lambda)
+        ok ? transform_benefit(device, anxiety,
+                               problem.lambda * device.sla_weight)
            : 0.0;
     program.rows[0][j] = device.compute_cost;
     program.rows[1][j] = device.storage_cost;

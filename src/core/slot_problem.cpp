@@ -64,6 +64,12 @@ double compacted_objective(const DeviceSlotInput& device, bool transformed,
   return objective;
 }
 
+double transform_benefit(const DeviceSlotInput& device,
+                         const survey::AnxietyModel& anxiety, double lambda) {
+  return compacted_objective(device, false, anxiety, lambda) -
+         compacted_objective(device, true, anxiety, lambda);
+}
+
 double energy_sum_closed_form(const DeviceSlotInput& device,
                               bool transformed) {
   // Equation (10d): K_m * e(1) - sum_kappa (K_m - kappa) psi(kappa) Delta.

@@ -10,6 +10,7 @@
 // complementary CDF of the charge-level answers.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <vector>
@@ -65,10 +66,16 @@ class AnxietyModel {
   explicit AnxietyModel(common::PiecewiseLinear curve);
 
   /// Anxiety degree for battery fraction `energy_fraction` in [0, 1].
-  double operator()(double energy_fraction) const;
+  /// NaN in gives NaN out.
+  double operator()(double energy_fraction) const {
+    return at_percent(energy_fraction * 100.0);
+  }
 
   /// Anxiety degree at an integer battery percentage in [0, 100].
-  double at_percent(double percent) const;
+  double at_percent(double percent) const {
+    const double anxiety = curve_(std::clamp(percent, 0.0, 100.0));
+    return std::clamp(anxiety, 0.0, 1.0);
+  }
 
   const common::PiecewiseLinear& curve() const { return curve_; }
 

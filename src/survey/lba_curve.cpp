@@ -73,15 +73,6 @@ AnxietyModel::AnxietyModel(common::PiecewiseLinear curve)
   assert(!curve_.empty());
 }
 
-double AnxietyModel::operator()(double energy_fraction) const {
-  return at_percent(energy_fraction * 100.0);
-}
-
-double AnxietyModel::at_percent(double percent) const {
-  const double anxiety = curve_(std::clamp(percent, 0.0, 100.0));
-  return std::clamp(anxiety, 0.0, 1.0);
-}
-
 AnxietyModel AnxietyModel::reference() {
   // Hand-calibrated knots matching the published Fig. 2: unit anxiety at an
   // empty battery, concave decline to the 20% warning level, a sharp drop

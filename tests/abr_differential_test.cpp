@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "lpvs/abr/joint.hpp"
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/run_context.hpp"
+#include "lpvs/core/slot_problem.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/survey/lba_curve.hpp"
 
@@ -159,6 +162,96 @@ TEST(AbrDifferential, JointSolvesAgreeAcrossEnginesAndExhaustive) {
   // The generator must actually exercise the solvers, not emit all-empty
   // menus.
   EXPECT_GT(nonempty_instances, kTrials / 2);
+}
+
+/// The builder's column set and objective as it was spelled before devices
+/// were priced once each: both compacted objectives and the untransformed
+/// energy evaluated per (transform, rung) entry.
+struct ReferenceColumns {
+  std::vector<JointProgram::Entry> entries;
+  std::vector<double> objective;
+};
+
+ReferenceColumns per_entry_reference(const JointSlotProblem& problem) {
+  const LadderModel& ladder = problem.ladder;
+  const auto seconds_of = [](const core::DeviceSlotInput& device) {
+    double total = 0.0;
+    for (double s : device.chunk_durations_s) total += s;
+    return total;
+  };
+  ReferenceColumns ref;
+  for (std::size_t d = 0; d < problem.base.devices.size(); ++d) {
+    const core::DeviceSlotInput& device = problem.base.devices[d];
+    const DeviceStreamState& stream = problem.streams[d];
+    const double seconds = seconds_of(device);
+    const bool transform_ok = core::eligible_for_transform(device);
+    for (int t = 0; t <= 1; ++t) {
+      if (t == 1 && !transform_ok) continue;
+      for (std::size_t m = 0; m < ladder.size(); ++m) {
+        if (t == 0 && m == 0) continue;
+        const double slack =
+            seconds > 0.0 ? 1.0 + stream.buffer_s / seconds : 1.0;
+        if (m != 0 && ladder.bitrate_mbps(m) >
+                          problem.throughput_safety * stream.throughput_mbps *
+                              slack) {
+          continue;
+        }
+        const double display_mwh = core::untransformed_energy_mwh(device) *
+                                   (t == 1 ? 1.0 - device.gamma : 1.0);
+        if (display_mwh + ladder.receive_energy_mwh(m, seconds) >
+            device.initial_energy_mwh) {
+          continue;
+        }
+        if (m > 0 && problem.qoe_floor > 0.0 &&
+            ladder.utility(m) < problem.qoe_floor) {
+          continue;
+        }
+        ref.entries.push_back({d, static_cast<std::uint8_t>(t), m});
+      }
+    }
+  }
+  for (const JointProgram::Entry& entry : ref.entries) {
+    const core::DeviceSlotInput& device = problem.base.devices[entry.device];
+    const double effective_lambda = problem.base.lambda * device.sla_weight;
+    double c = 0.0;
+    if (entry.transform != 0) {
+      c += core::compacted_objective(device, false, anxiety(),
+                                     effective_lambda) -
+           core::compacted_objective(device, true, anxiety(),
+                                     effective_lambda);
+    }
+    c += problem.qoe_weight * ladder.utility(entry.rung);
+    c -= problem.receive_energy_weight *
+         ladder.incremental_energy_mwh(entry.rung, seconds_of(device));
+    ref.objective.push_back(c);
+  }
+  return ref;
+}
+
+TEST(AbrDifferential, ObjectiveColumnMatchesPerEntryPricingBitForBit) {
+  long transform_columns = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::uint64_t seed = 31000 + static_cast<std::uint64_t>(trial);
+    common::Rng rng(seed);
+    JointSlotProblem problem = random_problem(rng);
+    for (core::DeviceSlotInput& device : problem.base.devices) {
+      if (rng.uniform() < 0.5) device.sla_weight = rng.uniform(0.5, 3.0);
+    }
+    const JointProgram joint = build_joint_program(problem, anxiety());
+    const ReferenceColumns ref = per_entry_reference(problem);
+    ASSERT_EQ(joint.entries.size(), ref.entries.size())
+        << "trial seed " << seed;
+    for (std::size_t j = 0; j < ref.entries.size(); ++j) {
+      ASSERT_EQ(joint.entries[j].device, ref.entries[j].device);
+      ASSERT_EQ(joint.entries[j].transform, ref.entries[j].transform);
+      ASSERT_EQ(joint.entries[j].rung, ref.entries[j].rung);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(joint.program.objective[j]),
+                std::bit_cast<std::uint64_t>(ref.objective[j]))
+          << "trial seed " << seed << " column " << j;
+      transform_columns += ref.entries[j].transform;
+    }
+  }
+  EXPECT_GT(transform_columns, kTrials);
 }
 
 TEST(AbrDifferential, SchedulerObjectiveMatchesProgramOptimum) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "lpvs/common/piecewise.hpp"
@@ -336,6 +337,17 @@ TEST(PiecewiseLinearTest, FromUniformSamples) {
   EXPECT_DOUBLE_EQ(f.x_min(), 10.0);
   EXPECT_DOUBLE_EQ(f.x_max(), 14.0);
   EXPECT_DOUBLE_EQ(f(11.0), 2.0);
+}
+
+TEST(PiecewiseLinearTest, NanInGivesNanOut) {
+  // NaN fails both boundary comparisons; the lookup must still never index
+  // past the last knot (the sanitizer lane runs this suite).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(PiecewiseLinear({3.0}, {7.0})(nan)));
+  EXPECT_TRUE(std::isnan(PiecewiseLinear({0.0, 1.0}, {5.0, 3.0})(nan)));
+  EXPECT_TRUE(std::isnan(
+      PiecewiseLinear::from_uniform_samples(std::vector<double>(101, 0.5))(
+          nan)));
 }
 
 TEST(PiecewiseLinearTest, NonIncreasingDetection) {

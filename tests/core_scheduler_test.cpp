@@ -1,11 +1,14 @@
 // Tests for the LPVS two-phase scheduler and the baseline selectors:
 // feasibility of every schedule, Phase-1 exactness, Phase-2 improvement,
-// the dominance relations the paper's evaluation relies on, and the
-// scheduler's per-stream solve-cache lookups.
+// the dominance relations the paper's evaluation relies on, the
+// scheduler's per-stream solve-cache lookups, and bit-identity of Phase-2
+// and scoring against an eager reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -567,6 +570,242 @@ TEST(SolveCacheFingerprint, SensitiveToEveryCoefficientFamily) {
   if (!base.eligible.empty()) {
     EXPECT_NE(fp, mutate([](auto& p) { p.eligible[0] ^= 1; }));
   }
+}
+
+/// Reference Phase-2 and scoring: the eager loop that priced every
+/// device's (13) benefit and start anxiety up front, re-checked
+/// eligibility, and ran the untransformed pass twice per unselected
+/// device.  The scheduler must reproduce its bits exactly.
+struct ReferencePhase2 {
+  std::vector<int> x;
+  int swaps = 0;
+  int additions = 0;
+};
+
+ReferencePhase2 eager_phase2(const SlotProblem& problem,
+                             const survey::AnxietyModel& phi,
+                             std::vector<int> x,
+                             const LpvsScheduler::Options& options) {
+  constexpr double kSlack = 1e-9;
+  double compute_used = 0.0;
+  double storage_used = 0.0;
+  const auto fits = [&](const DeviceSlotInput& device) {
+    return compute_used + device.compute_cost <=
+               problem.compute_capacity + kSlack &&
+           storage_used + device.storage_cost <=
+               problem.storage_capacity + kSlack;
+  };
+  const auto add = [&](const DeviceSlotInput& device) {
+    compute_used += device.compute_cost;
+    storage_used += device.storage_cost;
+  };
+  const auto remove = [&](const DeviceSlotInput& device) {
+    compute_used -= device.compute_cost;
+    storage_used -= device.storage_cost;
+  };
+
+  ReferencePhase2 out;
+  const std::size_t n = problem.devices.size();
+  std::vector<double> benefit(n, 0.0);
+  std::vector<double> start_anxiety(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const DeviceSlotInput& device = problem.devices[j];
+    start_anxiety[j] =
+        phi(device.initial_energy_mwh / device.battery_capacity_mwh);
+    if (!eligible_for_transform(device)) {
+      benefit[j] = -1.0;
+      continue;
+    }
+    const double effective_lambda = problem.lambda * device.sla_weight;
+    benefit[j] = compacted_objective(device, false, phi, effective_lambda) -
+                 compacted_objective(device, true, phi, effective_lambda);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (x[j]) add(problem.devices[j]);
+  }
+  std::vector<std::size_t> anxious;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!x[j] && benefit[j] >= 0.0) anxious.push_back(j);
+  }
+  std::sort(anxious.begin(), anxious.end(),
+            [&](std::size_t a, std::size_t b) {
+              return start_anxiety[a] > start_anxiety[b];
+            });
+  constexpr double kTol = 1e-9;
+  for (int pass = 0; pass < options.max_phase2_passes; ++pass) {
+    bool changed = false;
+    for (std::size_t u : anxious) {
+      if (x[u]) continue;
+      const DeviceSlotInput& incoming = problem.devices[u];
+      if (options.augment_after_swaps && benefit[u] > kTol &&
+          fits(incoming)) {
+        add(incoming);
+        x[u] = 1;
+        ++out.additions;
+        changed = true;
+        continue;
+      }
+      std::ptrdiff_t victim = -1;
+      double victim_benefit = benefit[u] - kTol;
+      for (std::size_t s = 0; s < n; ++s) {
+        if (!x[s] || s == u) continue;
+        if (benefit[s] >= victim_benefit) continue;
+        remove(problem.devices[s]);
+        const bool ok = fits(incoming);
+        add(problem.devices[s]);
+        if (!ok) continue;
+        victim = static_cast<std::ptrdiff_t>(s);
+        victim_benefit = benefit[s];
+      }
+      if (victim >= 0) {
+        const auto s = static_cast<std::size_t>(victim);
+        remove(problem.devices[s]);
+        add(incoming);
+        x[s] = 0;
+        x[u] = 1;
+        ++out.swaps;
+        changed = true;
+      }
+    }
+    if (!changed) break;
+  }
+  out.x = std::move(x);
+  return out;
+}
+
+Schedule two_pass_score(const SlotProblem& problem,
+                        const survey::AnxietyModel& phi, std::vector<int> x) {
+  Schedule schedule;
+  schedule.x = std::move(x);
+  for (std::size_t n = 0; n < problem.devices.size(); ++n) {
+    const DeviceSlotInput& device = problem.devices[n];
+    const bool transformed = schedule.x[n] != 0;
+    const DeviceEvaluation with = evaluate_forward(device, transformed, phi);
+    const DeviceEvaluation without = evaluate_forward(device, false, phi);
+    const double effective_lambda = problem.lambda * device.sla_weight;
+    schedule.objective += with.objective(effective_lambda);
+    schedule.baseline_objective += without.objective(effective_lambda);
+    schedule.energy_spent_mwh += with.energy_spent_mwh;
+    schedule.baseline_energy_mwh += without.energy_spent_mwh;
+    schedule.anxiety_sum += with.sum_anxiety;
+    schedule.baseline_anxiety_sum += without.sum_anxiety;
+    if (transformed) {
+      schedule.compute_used += device.compute_cost;
+      schedule.storage_used += device.storage_cost;
+    }
+  }
+  return schedule;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const Schedule& want, const Schedule& got,
+                      const std::string& where) {
+  EXPECT_EQ(want.x, got.x) << where;
+  EXPECT_EQ(bits(want.objective), bits(got.objective)) << where;
+  EXPECT_EQ(bits(want.baseline_objective), bits(got.baseline_objective))
+      << where;
+  EXPECT_EQ(bits(want.energy_spent_mwh), bits(got.energy_spent_mwh))
+      << where;
+  EXPECT_EQ(bits(want.baseline_energy_mwh), bits(got.baseline_energy_mwh))
+      << where;
+  EXPECT_EQ(bits(want.anxiety_sum), bits(got.anxiety_sum)) << where;
+  EXPECT_EQ(bits(want.baseline_anxiety_sum), bits(got.baseline_anxiety_sum))
+      << where;
+  EXPECT_EQ(bits(want.compute_used), bits(got.compute_used)) << where;
+  EXPECT_EQ(bits(want.storage_used), bits(got.storage_used)) << where;
+}
+
+struct Phase2Case {
+  const char* name;
+  double capacity_fraction;
+  double lambda;
+  bool ineligible;       ///< knock some devices out of (11) / gamma
+  bool sla_weights;      ///< draw sla_weight from [0.5, 3]
+  int force_rung;        ///< -1 = full solve
+  bool augment;          ///< LpvsScheduler::Options::augment_after_swaps
+};
+
+struct Phase2Totals {
+  int swaps = 0;
+  int additions = 0;
+};
+
+/// Runs `trials` seeded slot problems of one case against the reference
+/// and returns the swaps and additions summed over them.
+Phase2Totals check_against_reference(const Phase2Case& c,
+                                            std::uint64_t seed, int trials) {
+  common::Rng rng(seed);
+  LpvsScheduler::Options options;
+  options.augment_after_swaps = c.augment;
+  const LpvsScheduler scheduler(options);
+  RunContext ctx = context();
+  if (c.force_rung >= 0) {
+    ctx = ctx.with_deadline(SlotDeadline{.force_rung = c.force_rung});
+  }
+  Phase2Totals totals;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::size_t devices =
+        8 + static_cast<std::size_t>(rng.uniform_int(0, 52));
+    SlotProblem problem =
+        random_problem(rng, devices, c.capacity_fraction, c.lambda);
+    for (DeviceSlotInput& device : problem.devices) {
+      if (c.sla_weights) device.sla_weight = rng.uniform(0.5, 3.0);
+      if (c.ineligible && rng.bernoulli(0.2)) {
+        if (rng.bernoulli(0.5)) {
+          device.gamma = 0.0;
+        } else {
+          device.initial_energy_mwh = 0.5;  // (11) fails
+        }
+      }
+    }
+    const std::string where = std::string(c.name) + " trial " +
+                              std::to_string(trial) + " n " +
+                              std::to_string(devices);
+    const Schedule phase1 = scheduler.schedule_phase1_only(problem, ctx);
+    expect_same_bits(two_pass_score(problem, anxiety(), phase1.x), phase1,
+                     where + " (phase-1 score)");
+
+    const ReferencePhase2 ref =
+        eager_phase2(problem, anxiety(), phase1.x, options);
+    const Schedule got = scheduler.schedule(problem, ctx);
+    expect_same_bits(two_pass_score(problem, anxiety(), ref.x), got, where);
+    EXPECT_EQ(ref.swaps, got.phase2_swaps) << where;
+    EXPECT_EQ(ref.additions, got.phase2_additions) << where;
+    totals.swaps += got.phase2_swaps;
+    totals.additions += got.phase2_additions;
+  }
+  return totals;
+}
+
+TEST(Phase2Reference, TightCapacitySwapsBitIdentically) {
+  const Phase2Totals totals = check_against_reference(
+      {"tight", 0.3, 20000.0, false, false, -1, true}, 41, 40);
+  EXPECT_GT(totals.swaps, 0) << "the tight case must exercise the victim scan";
+}
+
+TEST(Phase2Reference, LooseCapacityLeavesNobodyWaiting) {
+  const Phase2Totals totals = check_against_reference(
+      {"loose", 10.0, 20000.0, false, false, -1, true}, 42, 20);
+  EXPECT_EQ(totals.swaps, 0);
+  EXPECT_EQ(totals.additions, 0);
+}
+
+TEST(Phase2Reference, IneligibleDevicesAndSlaWeights) {
+  check_against_reference({"ineligible", 0.3, 20000.0, true, false, -1, true},
+                          43, 30);
+  check_against_reference({"sla", 0.3, 5000.0, false, true, -1, true}, 44, 30);
+  check_against_reference({"both", 0.5, 50000.0, true, true, -1, true}, 45,
+                          30);
+}
+
+TEST(Phase2Reference, ForcedRepairRungAndNoAugmentation) {
+  check_against_reference({"rung1", 0.3, 20000.0, true, true, 1, true}, 46,
+                          30);
+  EXPECT_EQ(check_against_reference(
+                {"no-augment", 0.3, 20000.0, true, true, -1, false}, 47, 30)
+                .additions,
+            0);
 }
 
 /// Feasibility fuzz: every scheduler, many random problems, every capacity

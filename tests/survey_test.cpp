@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -262,6 +266,90 @@ TEST(AnxietyModel, MoreBatteryNeverMoreAnxiety) {
   for (double e = 0.0; e < 1.0; e += 0.01) {
     EXPECT_GE(model(e), model(e + 0.01) - 1e-12);
   }
+}
+
+/// The std::upper_bound lookup the inline knot search replaced.
+double upper_bound_lookup(const common::PiecewiseLinear& f, double x) {
+  const auto xs = f.xs();
+  const auto ys = f.ys();
+  if (x <= xs.front()) return ys.front();
+  if (x >= xs.back()) return ys.back();
+  const auto hi =
+      static_cast<std::size_t>(std::upper_bound(xs.begin(), xs.end(), x) -
+                               xs.begin());
+  const std::size_t lo = hi - 1;
+  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
+  return ys[lo] + t * (ys[hi] - ys[lo]);
+}
+
+/// Every knot, its neighbours one ulp either side, points between knots,
+/// and values below, above and at +-inf.
+std::vector<double> lookup_probes(const common::PiecewiseLinear& f) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = {-kInf, -1e300, f.x_min() - 1.0,
+                                f.x_max() + 1.0, 1e300, kInf};
+  const auto xs = f.xs();
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    probes.push_back(xs[i]);
+    probes.push_back(std::nextafter(xs[i], -kInf));
+    probes.push_back(std::nextafter(xs[i], kInf));
+    if (i + 1 < xs.size()) probes.push_back(0.5 * (xs[i] + xs[i + 1]));
+  }
+  return probes;
+}
+
+void expect_lookup_bits(const common::PiecewiseLinear& f, const char* name) {
+  for (double x : lookup_probes(f)) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(upper_bound_lookup(f, x)),
+              std::bit_cast<std::uint64_t>(f(x)))
+        << name << " x=" << x;
+  }
+}
+
+TEST(AnxietyModel, KnotSearchMatchesUpperBoundBitForBit) {
+  const AnxietyModel reference = AnxietyModel::reference();
+  expect_lookup_bits(reference.curve(), "reference");
+
+  common::Rng rng(7);
+  LbaCurveExtractor extractor;
+  extractor.add_population(
+      SyntheticPopulation().generate_paper_population(rng));
+  const common::PiecewiseLinear extracted = extractor.extract();
+  expect_lookup_bits(extracted, "extracted (x = 1..100)");
+  // The same degrees on a 101-knot grid x = 0..100 (battery 0 pinned at 1).
+  std::vector<double> degrees = extractor.normalized();
+  degrees.insert(degrees.begin(), 1.0);
+  expect_lookup_bits(common::PiecewiseLinear::from_uniform_samples(degrees),
+                     "uniform 101 knots");
+  // 1.0 + (0.1 - 1.0) != 0.1: reaching a knot through the segment on its
+  // left would change the last bit, so this curve pins the segment choice.
+  expect_lookup_bits(common::PiecewiseLinear({0.0, 1.0, 2.0, 3.0, 4.0},
+                                             {1.0, 0.1, 1.0, 0.1, 0.7}),
+                     "knot-sensitive");
+  for (std::size_t knots = 2; knots <= 9; ++knots) {
+    std::vector<double> ys(knots);
+    for (std::size_t i = 0; i < knots; ++i) ys[i] = rng.uniform();
+    expect_lookup_bits(
+        common::PiecewiseLinear::from_uniform_samples(ys, -3.0, 0.7),
+        "small");
+  }
+
+  // at_percent is the clamped lookup on [0, 100], clamped into [0, 1].
+  for (double percent : lookup_probes(reference.curve())) {
+    const double want = std::clamp(
+        upper_bound_lookup(reference.curve(), std::clamp(percent, 0.0, 100.0)),
+        0.0, 1.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want),
+              std::bit_cast<std::uint64_t>(reference.at_percent(percent)))
+        << "percent=" << percent;
+  }
+}
+
+TEST(AnxietyModel, NanInGivesNanOut) {
+  const AnxietyModel model = AnxietyModel::reference();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(model(nan)));
+  EXPECT_TRUE(std::isnan(model.at_percent(nan)));
 }
 
 /// Extraction pipeline sweep: for any population size the curve must obey
