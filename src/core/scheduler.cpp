@@ -96,6 +96,10 @@ void record_solve_metrics(obs::MetricsRegistry* metrics,
       ->counter("lpvs_solver_lp_pivots_total",
                 "LP relaxation pivots summed over explored B&B nodes")
       .add(cached.solution.lp_pivots);
+  metrics
+      ->counter("lpvs_solver_root_fixed_vars_total",
+                "Variables the B&B root fixed by reduced cost")
+      .add(cached.solution.root_fixed);
 }
 
 /// Key stride for per-rung fault decisions: each slot draws at most one
@@ -281,6 +285,7 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
   const std::uint64_t budget_fp = solver::budget_fingerprint(ilp_options);
   std::vector<int> x;
   long nodes = 0;
+  long root_fixed = 0;
   if (rung == 0) {
     const solver::CachedSolve cached = solver::solve_with_cache(
         solver::BranchAndBoundSolver(ilp_options), program,
@@ -288,6 +293,7 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
     record_solve_metrics(context.metrics, cached);
     x = cached.solution.x;
     nodes = cached.solution.nodes_explored;
+    root_fixed = cached.solution.root_fixed;
   } else {
     std::vector<int> previous;
     if (context.solve_cache != nullptr) {
@@ -480,6 +486,7 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
          {{"devices", static_cast<double>(n)},
           {"selected", static_cast<double>(schedule.selected_count())},
           {"ilp_nodes", static_cast<double>(nodes)},
+          {"root_fixed", static_cast<double>(root_fixed)},
           {"phase2_swaps", static_cast<double>(swaps)},
           {"phase2_additions", static_cast<double>(additions)},
           {"objective", schedule.objective}}});

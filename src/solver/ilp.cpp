@@ -452,11 +452,16 @@ IlpSolution BranchAndBoundSolver::solve_revised(
     return out;
   }
 
-  const BinaryProgram& red = pre.reduced;
-  const std::size_t rn = red.num_vars();
-  const std::size_t rm = red.rows.size();
+  // The incumbent lives in presolved space (pn variables).  The search
+  // runs on `red`: the presolved program until the root fixes variables by
+  // reduced cost, then `fix`'s compaction of it (rn free variables).
+  const std::size_t pn = pre.reduced.num_vars();
+  const std::size_t rm = pre.reduced.rows.size();
+  const BinaryProgram* red = &pre.reduced;
+  std::size_t rn = pn;
+  PresolveResult fix;
 
-  if (rn == 0) {
+  if (pn == 0) {
     // Presolve decided everything.
     out.x = expand_solution(pre, {});
     out.objective = problem.value(out.x);
@@ -476,31 +481,42 @@ IlpSolution BranchAndBoundSolver::solve_revised(
   bool seeded = false;
   if (incumbent != nullptr && incumbent->size() == n &&
       problem.feasible(*incumbent)) {
-    std::vector<int> projected(rn, 0);
-    for (std::size_t r = 0; r < rn; ++r) {
+    std::vector<int> projected(pn, 0);
+    for (std::size_t r = 0; r < pn; ++r) {
       projected[r] = (*incumbent)[pre.var_map[r]];
     }
-    if (red.feasible(projected)) {
+    if (red->feasible(projected)) {
       best_r.x = std::move(projected);
-      best_r.objective = red.value(best_r.x);
+      best_r.objective = red->value(best_r.x);
       best_r.status = IlpStatus::kFeasible;
       seeded = true;
     }
   }
-  if (!seeded) best_r = GreedySolver().solve(red);
+  if (!seeded) best_r = GreedySolver().solve(*red);
 
-  // The relaxation engine holds the reduced problem once; branch fixings
-  // are bound overrides, never a rebuild.
+  // The relaxation engine holds the search program once; branch fixings
+  // are bound overrides, never a rebuild.  Rounding reads a column-major
+  // copy of its rows (one variable's coefficients at a time).
   LpProblem lp;
-  lp.objective = red.objective;
-  lp.rows = red.rows;
-  lp.rhs = red.rhs;
-  lp.upper.assign(rn, 1.0);
   RevisedLpSolver::Options lp_options;
   lp_options.max_iterations = options_.lp.max_iterations;
   lp_options.tolerance = options_.lp.tolerance;
   RevisedLpSolver engine(lp_options);
-  if (!engine.load(lp)) {
+  std::vector<double> columns;
+  auto load_search_program = [&] {
+    lp.objective = red->objective;
+    lp.rows = red->rows;
+    lp.rhs = red->rhs;
+    lp.upper.assign(rn, 1.0);
+    columns.resize(rn * rm);
+    for (std::size_t i = 0; i < rm; ++i) {
+      for (std::size_t j = 0; j < rn; ++j) {
+        columns[j * rm + i] = red->rows[i][j];
+      }
+    }
+    return engine.load(lp);
+  };
+  if (!load_search_program()) {
     out.status = IlpStatus::kMalformed;
     return out;
   }
@@ -513,16 +529,10 @@ IlpSolution BranchAndBoundSolver::solve_revised(
                             basis_memory->var_map == pre.var_map &&
                             basis_memory->row_map == pre.row_map;
 
-  // Column-major copy of the reduced rows: rounding walks one variable's
-  // coefficients at a time.
-  std::vector<double> columns(rn * rm);
-  for (std::size_t i = 0; i < rm; ++i) {
-    for (std::size_t j = 0; j < rn; ++j) columns[j * rm + i] = red.rows[i][j];
-  }
-
-  // LP-guided rounding over the reduced space (mirror of the dense
+  // LP-guided rounding over the search space (mirror of the dense
   // engine's try_round), on buffers reused across nodes.  The rounded
-  // point is kept as the index-ordered list of variables it takes.
+  // point is kept as the index-ordered list of variables it takes; its
+  // value counts the variables the root fixed to one.
   std::vector<double> used(rm);
   std::vector<std::uint32_t> taken(rn);
   std::vector<std::pair<double, std::size_t>> rest;
@@ -533,7 +543,7 @@ IlpSolution BranchAndBoundSolver::solve_revised(
     std::fill(used.begin(), used.end(), 0.0);
     auto fits = [&](std::size_t j) {
       for (std::size_t i = 0; i < rm; ++i) {
-        if (used[i] + columns[j * rm + i] > red.rhs[i] + 1e-9) return false;
+        if (used[i] + columns[j * rm + i] > red->rhs[i] + 1e-9) return false;
       }
       return true;
     };
@@ -562,8 +572,8 @@ IlpSolution BranchAndBoundSolver::solve_revised(
     rest.clear();
     for (const std::uint32_t j : engine.basic_vars()) {
       if (j < rn && fixing[j] == -1 && !(lp_x[j] > 1.0 - 1e-6) &&
-          lp_x[j] > 1e-9 && red.objective[j] > 0.0) {
-        rest.emplace_back(lp_x[j] * red.objective[j], j);
+          lp_x[j] > 1e-9 && red->objective[j] > 0.0) {
+        rest.emplace_back(lp_x[j] * red->objective[j], j);
       }
     }
     std::sort(rest.begin(), rest.end(),
@@ -579,17 +589,19 @@ IlpSolution BranchAndBoundSolver::solve_revised(
       *at = static_cast<std::uint32_t>(j);
       ++count;
     }
-    // red.value() of the rounded point: its objective entries in index
-    // order, the same additions as the full scan (which adds nothing for
-    // the variables left at zero).
-    double value = 0.0;
-    for (std::size_t k = 0; k < count; ++k) value += red.objective[taken[k]];
+    // The presolved value of the rounded point: the fixed-to-one objective
+    // (0 before the root fixes anything), then the taken entries in index
+    // order, the same additions as a full scan (which adds nothing for the
+    // variables left at zero).
+    double value = fix.fixed_objective;
+    for (std::size_t k = 0; k < count; ++k) value += red->objective[taken[k]];
     if (!(value > best_r.objective + tol)) return;
     std::fill(candidate.begin(), candidate.end(), 0);
     for (std::size_t k = 0; k < count; ++k) candidate[taken[k]] = 1;
-    if (red.feasible(candidate)) {
+    if (red->feasible(candidate)) {
       best_r.objective = value;
-      best_r.x = candidate;
+      best_r.x =
+          fix.fixed.empty() ? candidate : expand_solution(fix, candidate);
     }
   };
 
@@ -611,17 +623,86 @@ IlpSolution BranchAndBoundSolver::solve_revised(
   BasisPool bases(rm, rn + rm);
   std::vector<HeapNode> heap;
   std::uint64_t next_seq = 0;
-  {
-    const std::uint32_t root_fixing = fixings.acquire();
-    std::fill_n(fixings.at(root_fixing), rn, static_cast<signed char>(-1));
-    heap.push_back(HeapNode{std::numeric_limits<double>::infinity(),
-                            next_seq++, root_fixing, BasisPool::kNone});
-  }
+  // Pushes a root node: every search variable free, solved from
+  // `root_from` (or cold when that is null).
+  const SimplexBasis* root_from =
+      reuse_memory ? &basis_memory->basis : nullptr;
+  auto push_root = [&](double bound) {
+    const std::uint32_t slot = fixings.acquire();
+    std::fill_n(fixings.at(slot), rn, static_cast<signed char>(-1));
+    heap.push_back(HeapNode{bound, next_seq++, slot, BasisPool::kNone});
+  };
+  push_root(std::numeric_limits<double>::infinity());
 
   long nodes = 0;
   long pivots = 0;
   bool exhausted_within_limit = true;
   bool root = true;
+
+  // Reduced-cost fixing, once, at a root that would branch.  With duals y
+  // and reduced costs d, every 0/1 point has value at most
+  // bound + d_j x_j (j at lower) and bound - d_j (1 - x_j) (j at upper),
+  // so a nonbasic variable whose move off its bound cannot lift the bound
+  // past the incumbent by more than the prune margin is fixed where it
+  // sits: exactly what the gap rule would prune below it.  The survivors
+  // are compacted into the search program, the engine reloads it, and the
+  // root basis carries over (basic variables are never fixed; the
+  // nonbasic states map across).  Returns false when nothing was fixed.
+  SimplexBasis carried;
+  auto fix_at_root = [&](double bound) {
+    const double cutoff =
+        best_r.objective +
+        std::max(tol, options_.relative_gap * std::fabs(best_r.objective));
+    if (!(bound > cutoff)) return false;  // the children would be stale
+    constexpr std::uint8_t kAtUpper = 1;  // SimplexBasis::state values
+    constexpr std::uint8_t kBasic = 2;
+    const std::vector<std::uint8_t>& state = engine.var_states();
+    std::vector<signed char> fixed(rn, -1);
+    bool any = false;
+    for (std::size_t j = 0; j < rn; ++j) {
+      if (state[j] == kBasic) continue;  // d_j = 0
+      const double d = engine.reduced_cost(j);
+      const bool at_upper = state[j] == kAtUpper;
+      if ((at_upper ? bound - d : bound + d) <= cutoff) {
+        fixed[j] = at_upper ? 1 : 0;
+        any = true;
+      }
+    }
+    if (!any) return false;
+
+    fix = fix_variables(std::move(pre.reduced), std::move(fixed), tol);
+    red = &fix.reduced;
+    rn = red->num_vars();
+    // Root basis in compacted indices; a basic variable that domination
+    // fixed after all leaves it empty, and the root re-solves cold.
+    carried.basic.resize(rm);
+    carried.state.resize(rn + rm);
+    for (std::size_t r = 0; r < rn; ++r) {
+      carried.state[r] = state[fix.var_map[r]];
+    }
+    std::copy_n(state.begin() + static_cast<std::ptrdiff_t>(pn), rm,
+                carried.state.begin() + static_cast<std::ptrdiff_t>(rn));
+    for (std::size_t i = 0; i < rm; ++i) {
+      const std::uint32_t b = engine.basic_vars()[i];
+      if (b >= pn) {
+        carried.basic[i] = static_cast<std::uint32_t>(rn + (b - pn));
+      } else if (fix.fixed[b] == -1) {
+        carried.basic[i] = static_cast<std::uint32_t>(
+            std::lower_bound(fix.var_map.begin(), fix.var_map.end(), b) -
+            fix.var_map.begin());
+      } else {
+        carried = SimplexBasis{};
+        break;
+      }
+    }
+    load_search_program();
+    candidate.resize(rn);
+    fixings = SlotPool<signed char>(rn);
+    bases = BasisPool(rm, rn + rm);
+    root_from = &carried;
+    out.root_fixed = static_cast<long>(pn - rn);
+    return true;
+  };
 
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), heap_before);
@@ -648,24 +729,20 @@ IlpSolution BranchAndBoundSolver::solve_revised(
       relaxed = engine.resolve_trusted(bases.basic(node.parent_basis),
                                        bases.state(node.parent_basis));
       bases.release(node.parent_basis);
-    } else if (root && reuse_memory) {
-      relaxed = engine.resolve_in_place(basis_memory->basis);
+    } else if (root_from != nullptr) {
+      relaxed = engine.resolve_in_place(*root_from);
     } else {
       relaxed = engine.solve_in_place();
     }
     pivots += relaxed.iterations;
-    if (root) {
-      root = false;
-      if (basis_memory != nullptr) {
-        if (relaxed.optimal()) {
-          *basis_memory =
-              BasisHint{engine.basis(), pre.var_map, pre.row_map};
-        } else {
-          *basis_memory = BasisHint{};
-        }
+    if (root && basis_memory != nullptr) {
+      if (relaxed.optimal()) {
+        *basis_memory = BasisHint{engine.basis(), pre.var_map, pre.row_map};
+      } else {
+        *basis_memory = BasisHint{};
       }
     }
-    const double bound = relaxed.objective;
+    const double bound = relaxed.objective + fix.fixed_objective;
     if (!relaxed.optimal() ||  // infeasible/limit: prune (counted)
         bound <= best_r.objective + prune_margin) {
       fixings.release(node.fixing);
@@ -696,6 +773,16 @@ IlpSolution BranchAndBoundSolver::solve_revised(
       // Pruned after rounding, or integral (try_round recorded it).
       fixings.release(node.fixing);
       continue;
+    }
+    if (root) {
+      root = false;
+      if (fix_at_root(bound)) {
+        // The compacted program's re-solve from the carried basis is the
+        // rest of this root node, not a node of its own.
+        --nodes;
+        push_root(bound);
+        continue;
+      }
     }
 
     // Children inherit this node's optimal basis — one refactorization and

@@ -61,6 +61,10 @@ struct IlpSolution {
   /// LP pivots (LpSolution::iterations) summed over the explored nodes.
   /// Diagnostic only: not part of checkpoints, wire frames or digests.
   long lp_pivots = 0;
+  /// Variables the revised engine's root fixed by reduced cost (with the
+  /// free columns those fixings crowd out of a row); 0 when no B&B ran.
+  /// Diagnostic only, like lp_pivots.
+  long root_fixed = 0;
 
   bool optimal() const { return status == IlpStatus::kOptimal; }
 };
@@ -71,9 +75,10 @@ struct IlpSolution {
 ///   kDense    depth-first, branch-up-first, per-node dense LP from
 ///             scratch — the historical path, kept bit-for-bit as the
 ///             differential oracle.
-///   kRevised  presolve + best-first node heap + per-node dual-simplex
-///             re-solve from the parent basis (RevisedLpSolver), with
-///             optional cross-solve root-basis memory (BasisHint).
+///   kRevised  presolve + root reduced-cost fixing + best-first node heap
+///             + per-node dual-simplex re-solve from the parent basis
+///             (RevisedLpSolver), with optional cross-solve root-basis
+///             memory (BasisHint).
 ///
 /// Both engines are deterministic: node counts and objectives are pure
 /// functions of (problem, options, incumbent, basis memory) — no wall

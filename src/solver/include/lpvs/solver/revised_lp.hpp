@@ -149,6 +149,10 @@ class RevisedLpSolver {
 
   /// Primal point of the last optimal in-place solve (size n).
   const std::vector<double>& x() const { return x_; }
+  /// Reduced cost d_j = c_j - sum_k y_k a_kj of variable j (structural or
+  /// slack) under the duals y of the last optimal in-place solve: the
+  /// value pricing computed, summed in ascending row order.
+  double reduced_cost(std::size_t var) const;
   /// Current basis: variable index per row (size m) and per-variable
   /// lower/upper/basic state (size n+m), as snapshotted by basis().
   const std::vector<std::uint32_t>& basic_vars() const { return basis_; }

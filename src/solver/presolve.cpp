@@ -150,6 +150,59 @@ PresolveResult presolve_binary_program(const BinaryProgram& problem,
   return result;
 }
 
+PresolveResult fix_variables(BinaryProgram program,
+                             std::vector<signed char> fixed, double tol) {
+  PresolveResult result;
+  const std::size_t n = program.num_vars();
+  const std::size_t m = program.rows.size();
+
+  // Residual rhs once the fixed-to-one columns are taken.
+  std::vector<double> residual(m);
+  bool fits = true;
+  for (std::size_t i = 0; i < m; ++i) {
+    double taken = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (fixed[j] == 1) taken += program.rows[i][j];
+    }
+    fits &= !(taken > 0.0 && taken > program.rhs[i]);
+    residual[i] = program.rhs[i] - taken;
+  }
+  if (!fits) {
+    for (signed char& f : fixed) f = f == 1 ? -1 : f;
+    residual = program.rhs;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (fixed[j] == 1) result.fixed_objective += program.objective[j];
+  }
+  // Coefficient domination against what the fixings leave of each row.
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (fixed[j] == -1 && program.rows[i][j] > residual[i] + tol) {
+        fixed[j] = 0;
+      }
+    }
+  }
+
+  // Compact the free columns to the front, in order.
+  for (std::size_t j = 0; j < n; ++j) {
+    if (fixed[j] != -1) continue;
+    const std::size_t r = result.var_map.size();
+    result.var_map.push_back(static_cast<std::uint32_t>(j));
+    program.objective[r] = program.objective[j];
+    for (auto& row : program.rows) row[r] = row[j];
+  }
+  const std::size_t rn = result.var_map.size();
+  program.objective.resize(rn);
+  for (auto& row : program.rows) row.resize(rn);
+  program.rhs = std::move(residual);
+  for (std::size_t i = 0; i < m; ++i) {
+    result.row_map.push_back(static_cast<std::uint32_t>(i));
+  }
+  result.fixed = std::move(fixed);
+  result.reduced = std::move(program);
+  return result;
+}
+
 std::vector<int> expand_solution(const PresolveResult& presolve,
                                  const std::vector<int>& reduced_x) {
   std::vector<int> x(presolve.fixed.size(), 0);

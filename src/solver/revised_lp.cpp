@@ -637,6 +637,16 @@ LpSolution RevisedLpSolver::resolve(const SimplexBasis& from) {
   return to_solution(resolve_in_place(from));
 }
 
+double RevisedLpSolver::reduced_cost(std::size_t var) const {
+  // The primal phase always runs last and prices from a fresh compute_y
+  // under the true costs, so y_ holds the optimal basis's duals.
+  const Columns a{cols_.data(), n_, m_};
+  return with_rows(m_, [&](auto rows) {
+    return solver::reduced_cost<decltype(rows)::value>(a, costs_.data(),
+                                                       y_.data(), var);
+  });
+}
+
 SimplexBasis RevisedLpSolver::basis() const {
   SimplexBasis snapshot;
   snapshot.basic = basis_;

@@ -300,6 +300,7 @@ CachedSolve solve_with_cache(const BranchAndBoundSolver& solver,
     result.solution = std::move(hint.solution);
     result.solution.nodes_explored = 0;  // no search happened this slot
     result.solution.lp_pivots = 0;
+    result.solution.root_fixed = 0;
     result.exact_hit = true;
     return result;
   }

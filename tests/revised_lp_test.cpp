@@ -279,6 +279,47 @@ TEST(RevisedLpKernel, ResolveTrustedMatchesResolveFromOwnBasis) {
   }
 }
 
+TEST(RevisedLpKernel, ReducedCostsCertifyTheOptimum) {
+  // At an optimum no nonbasic variable prices as improving, basic ones
+  // price at zero, a slack's reduced cost is minus its row's dual, and
+  // the duals close the gap: y.b + sum of d_j over variables at their
+  // upper bound is the objective (what root reduced-cost fixing uses).
+  for (int trial = 0; trial < kTrials; ++trial) {
+    common::Rng rng(9100 + static_cast<std::uint64_t>(trial));
+    const LpProblem p = random_binary_relaxation(rng);
+    RevisedLpSolver engine;
+    ASSERT_TRUE(engine.load(p));
+    const RevisedLpSolver::Result r = engine.solve_in_place();
+    ASSERT_TRUE(r.optimal()) << "trial seed " << 9100 + trial;
+    const std::size_t n = p.num_vars();
+    const std::size_t m = p.num_rows();
+    double dual_value = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      dual_value += -engine.reduced_cost(n + i) * p.rhs[i];
+    }
+    for (std::size_t j = 0; j < n + m; ++j) {
+      const double d = engine.reduced_cost(j);
+      const std::uint8_t state = engine.var_states()[j];
+      if (state == 2) {
+        EXPECT_NEAR(d, 0.0, 1e-9) << "trial seed " << 9100 + trial;
+      } else if (state == 1) {
+        EXPECT_GE(d, -1e-9) << "trial seed " << 9100 + trial;
+        dual_value += d * p.upper[j];
+      } else {
+        EXPECT_LE(d, 1e-9) << "trial seed " << 9100 + trial;
+      }
+      if (j < n) {
+        double priced = p.objective[j];
+        for (std::size_t i = 0; i < m; ++i) {
+          priced -= -engine.reduced_cost(n + i) * p.rows[i][j];
+        }
+        EXPECT_NEAR(d, priced, 1e-9) << "trial seed " << 9100 + trial;
+      }
+    }
+    EXPECT_NEAR(dual_value, r.objective, 1e-7) << "trial seed " << 9100 + trial;
+  }
+}
+
 TEST(RevisedLpKernel, MismatchedSnapshotFallsBackToColdSolve) {
   common::Rng rng(36000);
   const LpProblem p = random_binary_relaxation(rng);

@@ -17,11 +17,14 @@
 // instance can be replayed in isolation (see docs/solver.md).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/scheduler.hpp"
 #include "lpvs/solver/ilp.hpp"
+#include "lpvs/solver/presolve.hpp"
+#include "lpvs/solver/revised_lp.hpp"
 #include "lpvs/solver/solve_cache.hpp"
 
 namespace lpvs::solver {
@@ -88,11 +91,57 @@ BinaryProgram perturb(const BinaryProgram& base, common::Rng& rng) {
   return next;
 }
 
-BranchAndBoundSolver exact_solver() {
+BranchAndBoundSolver exact_solver(LpEngine engine = LpEngine::kDense) {
   BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
+  options.engine = engine;
   return BranchAndBoundSolver(options);
+}
+
+/// Which row of a Phase-1-shaped program is not a plain binding row.
+enum class OddRow { kNone, kLoose, kZeroRhs };
+
+/// A Phase-1-shaped program (objective gamma * slot energy, compute and
+/// storage rows) with what the revised engine's root reduced-cost fixing
+/// must survive: ~20% ineligible devices, ~10% non-positive entries,
+/// optionally quantized costs (ties), and optionally a storage row loose
+/// enough for presolve to drop, or one with rhs 0 that only zero-cost
+/// devices fit.
+BinaryProgram phase1_shaped(common::Rng& rng, std::size_t n, bool quantized,
+                            OddRow odd) {
+  BinaryProgram p;
+  p.objective.resize(n);
+  p.rows.assign(2, std::vector<double>(n));
+  p.eligible.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    p.objective[j] = rng.bernoulli(0.1)
+                         ? rng.uniform(-5.0, 0.0)
+                         : rng.uniform(0.13, 0.49) * rng.uniform(100.0, 1500.0);
+    if (quantized) {
+      p.rows[0][j] = 0.2 * static_cast<double>(rng.uniform_int(1, 6));
+      p.rows[1][j] = 20.0 * static_cast<double>(rng.uniform_int(1, 10));
+    } else {
+      p.rows[0][j] = rng.uniform(0.2, 1.2);
+      p.rows[1][j] = rng.uniform(20.0, 200.0);
+    }
+    if (odd == OddRow::kZeroRhs && rng.bernoulli(0.5)) p.rows[1][j] = 0.0;
+    p.eligible[j] = rng.bernoulli(0.8) ? 1 : 0;
+  }
+  p.rhs.resize(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    double total = 0.0;
+    for (double a : p.rows[i]) total += a;
+    p.rhs[i] = total * rng.uniform(0.2, 0.45);
+  }
+  if (odd == OddRow::kLoose) {
+    double total = 0.0;
+    for (double a : p.rows[1]) total += a;
+    p.rhs[1] = total + 1.0;
+  } else if (odd == OddRow::kZeroRhs) {
+    p.rhs[1] = 0.0;
+  }
+  return p;
 }
 
 TEST(SolverDifferential, BranchAndBoundMatchesExhaustiveOptimum) {
@@ -113,6 +162,113 @@ TEST(SolverDifferential, BranchAndBoundMatchesExhaustiveOptimum) {
         << "trial seed " << 1000 + trial;
   }
 }
+
+// The revised engine fixes variables by reduced cost at the root and
+// searches only the rest.  At gap 0 the fixing prunes only what cannot
+// beat the incumbent, so exact solves must still find the optimum.
+TEST(RootFixing, ExactSolvesMatchExhaustiveOptimum) {
+  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const ExhaustiveSolver exhaustive;
+  long fixed = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    common::Rng rng(7000 + static_cast<std::uint64_t>(trial));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(6, 16));
+    const OddRow odd = trial % 4 == 2   ? OddRow::kLoose
+                       : trial % 4 == 3 ? OddRow::kZeroRhs
+                                        : OddRow::kNone;
+    const BinaryProgram problem = phase1_shaped(rng, n, trial % 2 == 1, odd);
+    const IlpSolution truth = exhaustive.solve(problem);
+    const IlpSolution got = bnb.solve(problem);
+    ASSERT_EQ(got.status, IlpStatus::kOptimal) << "trial seed " << 7000 + trial;
+    ASSERT_NEAR(got.objective, truth.objective, 1e-9)
+        << "trial seed " << 7000 + trial;
+    ASSERT_TRUE(problem.feasible(got.x)) << "trial seed " << 7000 + trial;
+    fixed += got.root_fixed;
+  }
+  EXPECT_GT(fixed, 0);  // the corpus exercises the fixing
+}
+
+// Rebuilds the root the revised engine solves (presolve, then a cold
+// relaxation) and checks the fixing rule against it: every variable whose
+// reduced cost rules it out even against the optimum keeps its bound in
+// the returned point, and the root fixes at least what the greedy seed
+// alone would have let it fix.
+TEST(RootFixing, ReturnedPointKeepsEveryFixing) {
+  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const double tol = BranchAndBoundSolver::Options{}.tolerance;
+  long checked = 0;
+  long branched = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    common::Rng rng(7200 + static_cast<std::uint64_t>(trial));
+    const BinaryProgram problem =
+        phase1_shaped(rng, 40, /*quantized=*/false, OddRow::kNone);
+    const IlpSolution got = bnb.solve(problem);
+    ASSERT_EQ(got.status, IlpStatus::kOptimal) << "trial seed " << 7200 + trial;
+
+    const PresolveResult pre = presolve_binary_program(problem, tol);
+    const BinaryProgram& red = pre.reduced;
+    RevisedLpSolver engine;
+    ASSERT_TRUE(engine.load(LpProblem{red.objective, red.rows, red.rhs,
+                                      std::vector<double>(red.num_vars(), 1.0)}));
+    const RevisedLpSolver::Result root = engine.solve_in_place();
+    ASSERT_TRUE(root.optimal());
+    const double greedy = GreedySolver().solve(red).objective;
+    long fixable_by_greedy = 0;
+    bool fractional = false;
+    for (std::size_t j = 0; j < red.num_vars(); ++j) {
+      const std::uint8_t state = engine.var_states()[j];
+      if (state == 2) {
+        fractional |= std::fabs(engine.x()[j] - std::round(engine.x()[j])) > tol;
+        continue;
+      }
+      const double d = engine.reduced_cost(j);
+      const double moved = state == 1 ? root.objective - d : root.objective + d;
+      if (moved <= got.objective + tol) {
+        EXPECT_EQ(got.x[pre.var_map[j]], state == 1 ? 1 : 0)
+            << "trial seed " << 7200 + trial << " var " << pre.var_map[j];
+        ++checked;
+      }
+      fixable_by_greedy += moved <= greedy + tol;
+    }
+    if (!fractional) {
+      EXPECT_EQ(got.root_fixed, 0) << "trial seed " << 7200 + trial;
+    } else if (root.objective > got.objective + tol) {
+      // The root branches whatever its incumbent, and that incumbent is at
+      // least the greedy seed.
+      EXPECT_GE(got.root_fixed, fixable_by_greedy)
+          << "trial seed " << 7200 + trial;
+      ++branched;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(branched, 0);
+}
+
+class RootFixingAtScale : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RootFixingAtScale, ExactSolvesMatchDenseOracle) {
+  const std::size_t n = GetParam();
+  const BranchAndBoundSolver revised = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver dense = exact_solver(LpEngine::kDense);
+  long fixed = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    common::Rng rng(7500 + n + static_cast<std::uint64_t>(trial));
+    const BinaryProgram problem =
+        phase1_shaped(rng, n, trial % 2 == 1,
+                      trial == 3 ? OddRow::kLoose : OddRow::kNone);
+    const IlpSolution got = revised.solve(problem);
+    const IlpSolution truth = dense.solve(problem);
+    ASSERT_EQ(truth.status, IlpStatus::kOptimal) << "trial " << trial;
+    ASSERT_EQ(got.status, IlpStatus::kOptimal) << "trial " << trial;
+    ASSERT_NEAR(got.objective, truth.objective, 1e-9) << "trial " << trial;
+    ASSERT_TRUE(problem.feasible(got.x)) << "trial " << trial;
+    fixed += got.root_fixed;
+  }
+  EXPECT_GT(fixed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Phase1Sizes, RootFixingAtScale,
+                         ::testing::Values(std::size_t{40}, std::size_t{120}));
 
 TEST(SolverDifferential, WarmStartedObjectiveEqualsColdBitForBit) {
   const BranchAndBoundSolver bnb = exact_solver();

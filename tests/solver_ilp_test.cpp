@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "lpvs/common/rng.hpp"
+#include "lpvs/core/scheduler.hpp"
 #include "lpvs/solver/ilp.hpp"
+#include "lpvs/solver/presolve.hpp"
 
 namespace lpvs::solver {
 namespace {
@@ -259,6 +261,104 @@ TEST(BranchAndBound, CountsLpPivotsOverExploredNodes) {
     EXPECT_GT(s.lp_pivots, root.lp_pivots);
   }
 }
+
+BranchAndBoundSolver gap_free_revised() {
+  BranchAndBoundSolver::Options options;
+  options.engine = LpEngine::kRevised;
+  return BranchAndBoundSolver(options);
+}
+
+TEST(RootFixing, IntegralRootIsOneNode) {
+  // The relaxation takes 6 and 5 exactly (weights 2 + 2 = capacity 4).
+  BinaryProgram p;
+  p.objective = {6.0, 5.0, 4.0};
+  p.rows = {{2.0, 2.0, 2.0}};
+  p.rhs = {4.0};
+  const IlpSolution s = gap_free_revised().solve(p);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_DOUBLE_EQ(s.objective, 11.0);
+  EXPECT_EQ(s.nodes_explored, 1);
+  EXPECT_EQ(s.root_fixed, 0);  // the root does not branch, so fixes nothing
+}
+
+TEST(RootFixing, FullyFixedRootIsOneNode) {
+  // Root LP: the three 10s plus half of the 5 (bound 32.5); rounding finds
+  // 30.  The dual price of the row is 5, so each 10 would cost 5 to drop
+  // and the 2 would cost 3 to take: every nonbasic variable is fixed,
+  // and the half-taken 5 no longer fits the 0.5 of the row that is left.
+  BinaryProgram p;
+  p.objective = {10.0, 10.0, 10.0, 5.0, 2.0};
+  p.rows = {{1.0, 1.0, 1.0, 1.0, 1.0}};
+  p.rhs = {3.5};
+  const IlpSolution s = gap_free_revised().solve(p);
+  ASSERT_TRUE(s.optimal());
+  EXPECT_DOUBLE_EQ(s.objective, 30.0);
+  EXPECT_EQ(s.x, (std::vector<int>{1, 1, 1, 0, 0}));
+  EXPECT_EQ(s.nodes_explored, 1);
+  EXPECT_EQ(s.root_fixed, 5);
+  EXPECT_DOUBLE_EQ(s.objective, ExhaustiveSolver().solve(p).objective);
+}
+
+TEST(RootFixing, FixVariablesCompactsIntoTheResidualProgram) {
+  BinaryProgram p;
+  p.objective = {4.0, 3.0, 2.0, 1.0, 5.0};
+  p.rows = {{1.0, 2.0, 3.0, 0.5, 1.0}, {2.0, 1.0, 0.0, 1.0, 4.5}};
+  p.rhs = {5.0, 6.0};
+  // x0 fixed to one leaves rows {4, 4}; x4 alone now overflows row 1.
+  const PresolveResult fix = fix_variables(p, {1, 0, -1, -1, -1}, 1e-7);
+  EXPECT_EQ(fix.fixed, (std::vector<signed char>{1, 0, -1, -1, 0}));
+  EXPECT_DOUBLE_EQ(fix.fixed_objective, 4.0);
+  EXPECT_EQ(fix.var_map, (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(fix.row_map, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(fix.reduced.objective, (std::vector<double>{2.0, 1.0}));
+  EXPECT_EQ(fix.reduced.rows,
+            (std::vector<std::vector<double>>{{3.0, 0.5}, {0.0, 1.0}}));
+  EXPECT_EQ(fix.reduced.rhs, (std::vector<double>{4.0, 4.0}));
+  EXPECT_EQ(expand_solution(fix, {1, 0}), (std::vector<int>{1, 0, 1, 0, 0}));
+
+  // Fixings to one that overflow a row together are dropped, not trusted;
+  // the rest of the reduction still runs against the untouched rhs.
+  p.rhs = {2.5, 6.0};
+  const PresolveResult overflow = fix_variables(p, {1, 1, -1, -1, -1}, 1e-7);
+  EXPECT_EQ(overflow.fixed, (std::vector<signed char>{-1, -1, 0, -1, -1}));
+  EXPECT_DOUBLE_EQ(overflow.fixed_objective, 0.0);
+  EXPECT_EQ(overflow.reduced.rhs, p.rhs);
+}
+
+// The decision-2 certificate (docs/paper_mapping.md): the served budget
+// (revised engine, 200 nodes, gap 1e-4) lands within 1% of the dense
+// engine's LP relaxation value, which bounds every 0/1 point from above.
+class ServedBudgetAtScale : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ServedBudgetAtScale, WithinOnePercentOfDenseLpBound) {
+  const std::size_t n = GetParam();
+  common::Rng rng(6 + n);
+  BinaryProgram p;
+  p.objective.resize(n);
+  p.rows.assign(2, std::vector<double>(n));
+  double compute = 0.0;
+  double storage = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    p.objective[j] = rng.uniform(1.0, 10.0);
+    p.rows[0][j] = rng.uniform(0.2, 1.0);
+    p.rows[1][j] = rng.uniform(10.0, 100.0);
+    compute += p.rows[0][j];
+    storage += p.rows[1][j];
+  }
+  p.rhs = {0.4 * compute, 0.35 * storage};
+  const IlpSolution served =
+      BranchAndBoundSolver(core::scheduler_ilp_defaults()).solve(p);
+  const LpSolution bound = LpSolver().solve(LpProblem{
+      p.objective, p.rows, p.rhs, std::vector<double>(n, 1.0)});
+  ASSERT_TRUE(bound.optimal());
+  ASSERT_NE(served.status, IlpStatus::kInfeasible);
+  EXPECT_TRUE(p.feasible(served.x));
+  EXPECT_LE(served.objective, bound.objective + 1e-6);
+  EXPECT_GE(served.objective, 0.99 * bound.objective);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ServedBudgetAtScale,
+                         ::testing::Values(std::size_t{200}, std::size_t{400}));
 
 TEST(Infeasibility, NegativeRhsIsInfeasibleFromEverySolver) {
   // Regression: ExhaustiveSolver used to pre-seed the all-zeros incumbent

@@ -206,6 +206,43 @@ TEST(BnbStress, TruncatedBudgetInfeasibleAcrossRandomInstances) {
   }
 }
 
+TEST(BnbStress, TruncatedBudgetWithFixedRootStillReportsInfeasible) {
+  // The same property once the revised engine's root has fixed variables
+  // by reduced cost.  A row whose rhs is negative but within the solver
+  // tolerance passes presolve and the root relaxation, yet no 0/1 point
+  // satisfies it, so the solve reaches the root, fixes and searches, and
+  // must still say kInfeasible.  One "anchor" item is worth far more than
+  // the "dust" that fills the rest of the binding row, so the row's dual
+  // price is tiny and the root fixes the anchor to one.
+  long fixed = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    common::Rng rng(23000 + static_cast<std::uint64_t>(trial));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(4, 16));
+    BinaryProgram p;
+    p.objective.resize(n);
+    p.rows.assign(2, std::vector<double>(n, 0.0));
+    for (std::size_t j = 0; j < n; ++j) {
+      p.objective[j] = j == 0 ? rng.uniform(20.0, 50.0)
+                              : rng.uniform(5e-9, 2e-8);
+      p.rows[0][j] = rng.uniform(0.5, 2.0);
+    }
+    p.rhs = {p.rows[0][0] + rng.uniform(0.5, 2.0),
+             rng.uniform(-9e-8, -2e-9)};
+    const long budget = static_cast<long>(rng.uniform_int(1, 64));
+    for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
+      BranchAndBoundSolver::Options options;
+      options.engine = engine;
+      options.max_nodes = budget;
+      const IlpSolution s = BranchAndBoundSolver(options).solve(p);
+      ASSERT_EQ(s.status, IlpStatus::kInfeasible)
+          << "trial seed " << 23000 + trial << " engine "
+          << to_string(engine) << " budget " << budget;
+      fixed += s.root_fixed;
+    }
+  }
+  EXPECT_GT(fixed, 0);  // the revised roots did fix variables
+}
+
 TEST(KnapsackStress, ManyZeroWeightItems) {
   const std::size_t n = 50;
   BinaryProgram p;
