@@ -9,7 +9,8 @@
 //     "schema": 2,
 //     "bench": "<name>",
 //     "pass": true,
-//     "meta":    { compiler, build flavor, core count, unix time },
+//     "meta":    { compiler, build flavor, cpu model, core count,
+//                  unix time },
 //     "knobs":   { the fixed/swept configuration of this run },
 //     "metrics": [ one object per measured configuration ]
 //   }
@@ -30,8 +31,23 @@
 
 namespace lpvs::bench {
 
+/// The host's CPU model (the first "model name" of /proc/cpuinfo), or
+/// "unknown" where that file is missing.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    return line.substr(line.find_first_not_of(' ', colon + 1));
+  }
+  return "unknown";
+}
+
 /// Run metadata stamped into every schema-v2 document: enough to tell two
-/// archived runs apart (toolchain, build flavor, machine width, when).
+/// archived runs apart (toolchain, build flavor, host, machine width,
+/// when).
 inline common::Json run_meta() {
   common::Json meta = common::Json::object();
   meta.set("compiler", std::string(__VERSION__));
@@ -41,6 +57,7 @@ inline common::Json run_meta() {
 #else
   meta.set("build", "debug");
 #endif
+  meta.set("cpu_model", cpu_model());
   meta.set("hardware_concurrency",
            static_cast<long>(std::thread::hardware_concurrency()));
   meta.set("unix_time_s", static_cast<long>(std::time(nullptr)));
