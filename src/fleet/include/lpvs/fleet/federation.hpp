@@ -202,6 +202,10 @@ class Federation {
 
   FederationReport run();
 
+  /// The replicated checkpoints as run() left them: the latest frame of
+  /// every live server that has checkpointed (retired servers' are dropped).
+  const CheckpointStore& checkpoint_store() const { return checkpoints_; }
+
  private:
   struct EdgeServer;
   struct FleetUser;
