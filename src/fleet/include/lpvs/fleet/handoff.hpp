@@ -16,6 +16,7 @@
 // preserved, only the learned sharpness is lost.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,6 +56,11 @@ common::StatusOr<SessionState> decode_session(std::vector<std::uint8_t> bytes);
 /// embeds many sessions inside its own versioned, sealed frame).
 void encode_session_body(wire::Writer& w, const SessionState& state);
 bool decode_session_body(wire::Reader& r, SessionState& state);
+/// Bytes encode_session_body writes for any session: the user id, the
+/// Gaussian state (7 doubles + count), the NIG state (10 doubles + count),
+/// the battery fraction, the assignment byte and the served-slot count.
+inline constexpr std::size_t kSessionBodyBytes =
+    8 + (7 * 8 + 8) + (10 * 8 + 8) + 8 + 1 + 4;
 
 /// What one transfer attempt sequence came to.
 struct HandoffOutcome {
