@@ -6,6 +6,7 @@
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/signaling.hpp"
 #include "lpvs/emu/emulator.hpp"
+#include "lpvs/fleet/checkpoint.hpp"
 #include "lpvs/obs/event_trace.hpp"
 #include "lpvs/obs/metrics.hpp"
 #include "lpvs/survey/lba_curve.hpp"
@@ -104,6 +105,69 @@ void BM_SignalingCost(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignalingCost);
+
+/// A server's checkpoint as the federation takes it: `sessions` learned
+/// posteriors plus the server's warm-start entry (one variable per session).
+lpvs::fleet::Checkpoint checkpoint_of(int sessions) {
+  lpvs::common::Rng rng(7);
+  lpvs::fleet::Checkpoint checkpoint;
+  checkpoint.server = 3;
+  checkpoint.slot = 600;
+  checkpoint.slots_run = 600;
+  for (int i = 0; i < sessions; ++i) {
+    lpvs::bayes::GammaEstimator gamma;
+    lpvs::bayes::NigGammaEstimator nig;
+    for (int k = 0; k < 5; ++k) {
+      const double observed = rng.uniform(0.13, 0.49);
+      gamma.observe(observed);
+      nig.observe(observed);
+    }
+    lpvs::fleet::SessionState& state = checkpoint.sessions.emplace_back();
+    state.user = static_cast<std::uint64_t>(i);
+    state.gamma = gamma.state();
+    state.nig = nig.state();
+    state.battery_fraction = rng.uniform();
+    state.last_assignment = rng.bernoulli(0.5) ? 1 : 0;
+    state.slots_served = 40;
+  }
+  lpvs::solver::SolveCache::ExportedEntry entry;
+  entry.key = checkpoint.server;
+  entry.fingerprint = 0x9E3779B97F4A7C15ULL;
+  entry.solution.status = lpvs::solver::IlpStatus::kOptimal;
+  entry.solution.objective = -12.5;
+  entry.solution.nodes_explored = 31;
+  for (const auto& session : checkpoint.sessions) {
+    entry.solution.x.push_back(session.last_assignment);
+  }
+  checkpoint.cache_entries.push_back(entry);
+  return checkpoint;
+}
+
+/// Encoding alone: the Writer plus the FNV-1a seal, whose per-byte cost is
+/// the floor of any encoder for this frame format.
+void BM_CheckpointEncode(benchmark::State& state) {
+  const lpvs::fleet::Checkpoint checkpoint =
+      checkpoint_of(static_cast<int>(state.range(0)));
+  const auto bytes = static_cast<std::int64_t>(checkpoint.encoded_size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checkpoint.encode());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_CheckpointEncode)->Arg(50)->Arg(400);
+
+/// What failover pays end to end: encode, then verify the seal and decode.
+void BM_CheckpointRoundTrip(benchmark::State& state) {
+  const lpvs::fleet::Checkpoint checkpoint =
+      checkpoint_of(static_cast<int>(state.range(0)));
+  const auto bytes = static_cast<std::int64_t>(checkpoint.encoded_size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        lpvs::fleet::Checkpoint::decode(checkpoint.encode()));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_CheckpointRoundTrip)->Arg(50)->Arg(400);
 
 }  // namespace
 
