@@ -28,10 +28,7 @@ int main() {
 
   const server::ServerConfig server_config =
       server::ServerConfig{}.with_seed(42).with_workers(2);
-  // Honor the config's solver knobs (lp_engine) when building the
-  // scheduler the daemon serves with.
-  const core::LpvsScheduler scheduler(
-      core::scheduler_options_for(server_config.slot));
+  const core::LpvsScheduler scheduler;
   server::EdgeServerDaemon daemon(
       server_config, scheduler,
       core::RunContext(anxiety).with_metrics(&registry));

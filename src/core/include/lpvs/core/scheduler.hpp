@@ -18,7 +18,6 @@
 
 #include "lpvs/core/run_context.hpp"
 #include "lpvs/core/slot_problem.hpp"
-#include "lpvs/core/slot_problem_config.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/survey/lba_curve.hpp"
 
@@ -89,13 +88,10 @@ solver::BinaryProgram phase1_program(const SlotProblem& problem);
 /// B&B settings tuned for per-slot scheduling: a 200-node budget and a
 /// 1e-4 (0.01%) relative optimality gap, so the solver never chases ties
 /// through an exponential frontier of equivalent optima inside a 5-minute
-/// slot.
-/// The zero-argument form selects the revised/dual-simplex engine — the
-/// serving hot path; pass solver::LpEngine::kDense to pin the historical
-/// oracle instead.
-solver::BranchAndBoundSolver::Options scheduler_ilp_defaults();
+/// slot.  The default engine is the revised/dual-simplex serving hot path;
+/// pass solver::LpEngine::kDense to pin the historical oracle instead.
 solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
-    solver::LpEngine engine);
+    solver::LpEngine engine = solver::LpEngine::kRevised);
 
 /// The paper's two-phase heuristic (SV-C).
 class LpvsScheduler : public Scheduler {
@@ -135,12 +131,6 @@ class LpvsScheduler : public Scheduler {
 
   Options options_;
 };
-
-/// LpvsScheduler options honoring a SlotProblemConfig's solver knobs
-/// (lp_engine today); the subsystem configs that embed SlotProblemConfig
-/// construct their schedulers through this so the engine choice actually
-/// reaches the solver.
-LpvsScheduler::Options scheduler_options_for(const SlotProblemConfig& config);
 
 /// x = 0 everywhere: conventional streaming without LPVS.
 class NoTransformScheduler : public Scheduler {

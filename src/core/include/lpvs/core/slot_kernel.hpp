@@ -4,19 +4,30 @@
 // user watches, its per-chunk power rates p(kappa) and edge costs (SIV-B),
 // the playback drain, and the end-of-slot gamma observation (SV-D).
 //
-// A row's battery energy and gamma stay with the caller, because they
-// really differ between callers: the battery object, a reported or a
-// device-side fraction, the one-slot-ahead prediction, the GammaMode.
+// core::ClusterSlot is the one cluster-slot step of the daemon and the
+// federation: it assembles a cluster's slot problem from member rows with
+// these functions, calls the scheduler, and checks the schedule against
+// the capacity rows (6)/(7).  What really differs between callers stays
+// with them: a row's battery energy, capacity and gamma (the battery
+// object, a reported or a device-side fraction, the GammaMode), the solve
+// context (slot, cache, deadline, forced rung), and what happens to the
+// schedule (frames on the wire, or playback and the gamma observation).
+// The emulator calls the functions directly, because its one-slot-ahead
+// prediction, CDN-published videos and partial-window pricing would make
+// the step branch on its caller.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "lpvs/battery/battery.hpp"
 #include "lpvs/bayes/gamma_estimator.hpp"
 #include "lpvs/bayes/nig_estimator.hpp"
+#include "lpvs/core/scheduler.hpp"
 #include "lpvs/core/slot_problem.hpp"
+#include "lpvs/core/slot_problem_config.hpp"
 #include "lpvs/display/display.hpp"
 #include "lpvs/fault/fault_injector.hpp"
 #include "lpvs/media/video.hpp"
@@ -86,5 +97,54 @@ std::optional<double> observe_gamma(bayes::GammaEstimator& gamma,
                                     std::uint64_t seed, std::uint64_t user,
                                     std::uint64_t slot,
                                     const fault::FaultInjector* faults);
+
+/// One member row of a cluster-slot: what the step generates and prices,
+/// plus the three fields only the caller knows.
+struct SlotMember {
+  std::uint64_t user = 0;
+  const display::DisplaySpec* spec = nullptr;
+  media::Genre genre = media::Genre::kIrlChat;
+  double bitrate_mbps = 0.0;
+  double energy_mwh = 0.0;    ///< e_n(1)
+  double capacity_mwh = 0.0;  ///< the full charge e_n(1) is a fraction of
+  double gamma = 0.0;         ///< E[gamma_n]
+};
+
+/// Constraints (6)/(7): `schedule` has one decision per device, and the
+/// devices it selects fit C and S within 1e-9.
+bool within_capacity(const SlotProblem& problem, const Schedule& schedule);
+
+/// A schedule and its check against the capacity rows.
+struct CheckedSchedule {
+  Schedule schedule;
+  bool within_capacity = true;  ///< (6) and (7) hold for schedule.x
+};
+
+/// One slot of one virtual cluster, assembled, solved and checked.  A step
+/// kept across slots reuses its problem, videos and pricing scratch.
+class ClusterSlot {
+ public:
+  /// Sets C, S and lambda from `config` and fills row i from members[i]:
+  /// content, rates and edge costs from the kernel functions above, then
+  /// the member's energy, capacity and gamma.
+  void assemble(const SlotProblemConfig& config, std::uint64_t slot,
+                std::span<const SlotMember> members);
+
+  /// Runs `scheduler` on the assembled problem; checks with
+  /// within_capacity.
+  CheckedSchedule solve(const Scheduler& scheduler,
+                        const RunContext& context) const;
+
+  const SlotProblem& problem() const { return problem_; }
+  /// For a solver above core (joint ABR) to swap into its own problem.
+  SlotProblem& problem() { return problem_; }
+  /// Row i's slot video; row i's rates are its chunks' p(kappa).
+  const media::Video& video(std::size_t i) const { return videos_[i]; }
+
+ private:
+  SlotProblem problem_;
+  std::vector<media::Video> videos_;
+  std::vector<double> rates_;
+};
 
 }  // namespace lpvs::core

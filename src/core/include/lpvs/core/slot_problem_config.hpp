@@ -1,18 +1,12 @@
 // SlotProblemConfig: the one type that parameterizes slot-problem assembly.
 //
-// Four subsystems build core::SlotProblem instances from the same knobs —
-// the emulator (one virtual cluster), the city replay (many), the fleet
-// federation (per edge server), and the serving daemon (per connected
-// cluster).  Each used to carry its own copy of the fields, so a default
-// changed in one could silently drift from the others and the daemon's
-// inline duplicates ("kept inline here so the daemon has no emu dep") were
-// the worst offender.  This struct is the single source: emu::ClusterParams
-// derives from it, server::ServerConfig embeds it, and the per-subsystem
-// configs only override defaults in their constructors.
-//
-// The load generator never assembles slot problems itself — it receives the
-// scheduler's decisions over the wire — so it consumes this type only
-// indirectly, through the daemon it drives.
+// The emulator (one virtual cluster), the city replay (many), the fleet
+// federation (per edge server) and the serving daemon (per connected
+// cluster) build core::SlotProblem instances from these knobs:
+// emu::ClusterParams derives from this struct and server::ServerConfig
+// embeds it, so no subsystem keeps its own copy of a default.  The load
+// generator receives decisions over the wire and uses it only through the
+// daemon it drives.
 //
 // Fluent `with_*` builders mirror core::RunContext: each returns an updated
 // copy, so call sites can assemble a config in one expression without
@@ -20,8 +14,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include "lpvs/solver/lp.hpp"
 
 namespace lpvs::core {
 
@@ -42,20 +34,6 @@ struct SlotProblemConfig {
   double effective_capacity_scale = 0.25;
   /// Seeds the derived per-(entity, slot) randomness streams.
   std::uint64_t seed = 42;
-  /// Warm-start consecutive-slot ILP solves from the previous slot's
-  /// assignment (solver::SolveCache).  Changes which optimal assignment
-  /// ties resolve to and the nodes explored, never the objective achieved;
-  /// off reproduces the historical every-solve-cold behavior exactly.
-  bool warm_start = true;
-  /// Which LP relaxation engine drives the per-slot B&B.  kRevised (the
-  /// default) presolves, re-solves each node dually from its parent basis,
-  /// and reuses the previous slot's root basis across coefficient deltas;
-  /// kDense is the historical from-scratch simplex kept as the
-  /// differential oracle.  Objectives are engine-independent (the
-  /// differential tests enforce it); node counts and tie-broken
-  /// assignments are not, so the engine is part of the solve-budget
-  /// fingerprint (solver::budget_fingerprint).
-  solver::LpEngine lp_engine = solver::LpEngine::kRevised;
 
   SlotProblemConfig with_compute_capacity(double v) const {
     SlotProblemConfig c = *this;
@@ -90,16 +68,6 @@ struct SlotProblemConfig {
   SlotProblemConfig with_seed(std::uint64_t v) const {
     SlotProblemConfig c = *this;
     c.seed = v;
-    return c;
-  }
-  SlotProblemConfig with_warm_start(bool v) const {
-    SlotProblemConfig c = *this;
-    c.warm_start = v;
-    return c;
-  }
-  SlotProblemConfig with_lp_engine(solver::LpEngine v) const {
-    SlotProblemConfig c = *this;
-    c.lp_engine = v;
     return c;
   }
 };

@@ -147,10 +147,6 @@ solver::BinaryProgram phase1_program(const SlotProblem& problem) {
   return program;
 }
 
-solver::BranchAndBoundSolver::Options scheduler_ilp_defaults() {
-  return scheduler_ilp_defaults(solver::LpEngine::kRevised);
-}
-
 solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
     solver::LpEngine engine) {
   // The root LP plus LP-guided rounding already lands within a fraction of
@@ -162,12 +158,6 @@ solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
   options.max_nodes = 200;
   options.relative_gap = 1e-4;
   options.engine = engine;
-  return options;
-}
-
-LpvsScheduler::Options scheduler_options_for(const SlotProblemConfig& config) {
-  LpvsScheduler::Options options;
-  options.ilp = scheduler_ilp_defaults(config.lp_engine);
   return options;
 }
 

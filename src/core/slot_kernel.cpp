@@ -9,6 +9,8 @@ namespace lpvs::core {
 namespace {
 
 constexpr std::uint64_t kBayesNoiseSalt = 0xBA1Eu;
+// Slack on the capacity rows for floating-point accumulation.
+constexpr double kCapacitySlack = 1e-9;
 
 // The one pricing model (both are stateless, so threads may share them).
 const media::PowerRateEstimator kRateEstimator;
@@ -70,6 +72,51 @@ std::optional<double> observe_gamma(bayes::GammaEstimator& gamma,
   gamma.observe(observed);
   nig.observe(observed);
   return observed;
+}
+
+void ClusterSlot::assemble(const SlotProblemConfig& config, std::uint64_t slot,
+                           std::span<const SlotMember> members) {
+  problem_.compute_capacity = config.compute_capacity;
+  problem_.storage_capacity = config.storage_capacity_mb;
+  problem_.lambda = config.lambda;
+  problem_.devices.resize(members.size());
+  videos_.resize(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const SlotMember& member = members[i];
+    media::Video& video = videos_[i];
+    slot_video_into(video, config.seed, member.user, slot, member.genre,
+                    config.chunks_per_slot, member.bitrate_mbps,
+                    config.chunk_seconds);
+    rates_.resize(video.chunks.size());
+    price_chunks(*member.spec, video.chunks, rates_);
+    DeviceSlotInput& row = problem_.devices[i];
+    fill_slot_row(row,
+                  common::DeviceId{static_cast<std::uint32_t>(member.user)},
+                  *member.spec, video, rates_);
+    row.initial_energy_mwh = member.energy_mwh;
+    row.battery_capacity_mwh = member.capacity_mwh;
+    row.gamma = member.gamma;
+  }
+}
+
+bool within_capacity(const SlotProblem& problem, const Schedule& schedule) {
+  if (schedule.x.size() != problem.devices.size()) return false;
+  double compute = 0.0;
+  double storage = 0.0;
+  for (std::size_t n = 0; n < schedule.x.size(); ++n) {
+    if (schedule.x[n] == 0) continue;
+    compute += problem.devices[n].compute_cost;
+    storage += problem.devices[n].storage_cost;
+  }
+  return compute <= problem.compute_capacity + kCapacitySlack &&
+         storage <= problem.storage_capacity + kCapacitySlack;
+}
+
+CheckedSchedule ClusterSlot::solve(const Scheduler& scheduler,
+                                   const RunContext& context) const {
+  CheckedSchedule checked{scheduler.schedule(problem_, context)};
+  checked.within_capacity = within_capacity(problem_, checked.schedule);
+  return checked;
 }
 
 }  // namespace lpvs::core

@@ -173,7 +173,7 @@ RunMetrics Emulator::run() {
   // takes precedence so cross-run reuse stays possible.
   solver::SolveCache run_cache;
   core::RunContext scheduling_context = context_;
-  if (config_.warm_start && scheduling_context.solve_cache == nullptr) {
+  if (scheduling_context.solve_cache == nullptr) {
     scheduling_context =
         context_.with_solve_cache(&run_cache, /*key=*/config_.seed);
   }

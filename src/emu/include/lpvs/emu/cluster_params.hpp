@@ -8,7 +8,7 @@
 // through automatically.
 //
 // The slot-problem knobs themselves (capacities, lambda, chunk shape,
-// session budget, seed, warm start) live one layer lower, in
+// session budget, seed) live one layer lower, in
 // core::SlotProblemConfig — the single type the emulator, replay,
 // federation, and serving daemon all assemble slot problems from.  This
 // struct only adds what is cluster-lifecycle-specific.

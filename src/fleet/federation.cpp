@@ -617,40 +617,27 @@ void Federation::serve_slot(int slot, FederationReport& report,
     ++edge.report.slots_run;
     if (edge.sessions.empty()) return;
 
-    core::SlotProblem problem;
-    problem.compute_capacity = config_.compute_capacity;
-    problem.storage_capacity = config_.storage_capacity_mb;
-    problem.lambda = config_.lambda;
-    std::vector<std::uint64_t> order;
-    std::vector<media::Video> videos;
+    std::vector<core::SlotMember> members;
     std::vector<int> hint;
-    order.reserve(edge.sessions.size());
-    videos.reserve(edge.sessions.size());
+    members.reserve(edge.sessions.size());
     hint.reserve(edge.sessions.size());
-    std::vector<double> priced(
-        static_cast<std::size_t>(config_.chunks_per_slot));
-
-    for (auto& [user_id, session] : edge.sessions) {
-      FleetUser& user = users_[static_cast<std::size_t>(user_id)];
-      media::Video& video = videos.emplace_back();
-      core::slot_video_into(video, config_.seed, user_id,
-                            static_cast<std::uint64_t>(global_slot),
-                            user.genre, config_.chunks_per_slot,
-                            user.bitrate_mbps, config_.chunk_seconds);
-      core::price_chunks(user.spec, video.chunks, priced);
-
-      core::DeviceSlotInput& input = problem.devices.emplace_back();
-      core::fill_slot_row(input,
-                          common::DeviceId{static_cast<std::uint32_t>(user_id)},
-                          user.spec, video, priced);
-      input.initial_energy_mwh = user.battery.remaining().value;
-      input.battery_capacity_mwh = user.battery.capacity().value;
-      input.gamma = session.estimator.expected_gamma();
-
+    for (const auto& [user_id, session] : edge.sessions) {
+      const FleetUser& user = users_[static_cast<std::size_t>(user_id)];
+      members.push_back(core::SlotMember{
+          .user = user_id,
+          .spec = &user.spec,
+          .genre = user.genre,
+          .bitrate_mbps = user.bitrate_mbps,
+          .energy_mwh = user.battery.remaining().value,
+          .capacity_mwh = user.battery.capacity().value,
+          .gamma = session.estimator.expected_gamma()});
       hint.push_back(session.last_assignment != 0 ? 1 : 0);
-      order.push_back(user_id);
     }
-    edge.slot_scheduled = static_cast<long>(problem.devices.size());
+    // Built per call: a step kept per server would hold every server's
+    // videos resident between slots and raise peak RSS.
+    core::ClusterSlot step;
+    step.assemble(config_, static_cast<std::uint64_t>(global_slot), members);
+    edge.slot_scheduled = static_cast<long>(members.size());
 
     // Seed the warm hint: the sessions' previous assignments, in this
     // slot's problem order.  After a handoff or failover the carried
@@ -658,37 +645,30 @@ void Federation::serve_slot(int slot, FederationReport& report,
     // does not cold-start the destination's ILP stream.  The salted
     // fingerprint never exact-hits; the cache greedy-repairs the hint into
     // the B&B incumbent.
-    if (config_.warm_start) {
-      solver::IlpSolution hint_solution;
-      hint_solution.status = solver::IlpStatus::kFeasible;
-      hint_solution.x = hint;
-      edge.cache.store(edge.info.id, kHintFingerprint, hint_solution);
-    }
+    solver::IlpSolution hint_solution;
+    hint_solution.status = solver::IlpStatus::kFeasible;
+    hint_solution.x = std::move(hint);
+    edge.cache.store(edge.info.id, kHintFingerprint, hint_solution);
 
-    core::RunContext scheduling_context =
-        context_.with_fault_injector(nullptr)
-            .with_trace(nullptr)
-            .with_slot(global_slot);
-    if (config_.warm_start) {
-      scheduling_context =
-          scheduling_context.with_solve_cache(&edge.cache, edge.info.id);
-    }
-    const core::Schedule schedule =
-        scheduler_.schedule(problem, scheduling_context);
+    const core::CheckedSchedule checked = step.solve(
+        scheduler_, context_.with_fault_injector(nullptr)
+                        .with_trace(nullptr)
+                        .with_slot(global_slot)
+                        .with_solve_cache(&edge.cache, edge.info.id));
+    const core::Schedule& schedule = checked.schedule;
     edge.slot_objective = schedule.objective;
     edge.slot_degraded =
         schedule.rung != core::DegradationRung::kFullSolve ? 1 : 0;
-    if (schedule.compute_used > problem.compute_capacity + 1e-9 ||
-        schedule.storage_used > problem.storage_capacity + 1e-9) {
-      ++edge.slot_capacity_violations;
-    }
+    if (!checked.within_capacity) ++edge.slot_capacity_violations;
 
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      FleetUser& user = users_[static_cast<std::size_t>(order[i])];
-      ServerSession& session = edge.sessions[order[i]];
-      const media::Video& video = videos[i];
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const std::uint64_t user_id = members[i].user;
+      FleetUser& user = users_[static_cast<std::size_t>(user_id)];
+      ServerSession& session = edge.sessions[user_id];
+      const media::Video& video = step.video(i);
       // Every chunk was priced once, into the problem row.
-      const std::vector<double>& rates = problem.devices[i].power_rates_mw;
+      const std::vector<double>& rates =
+          step.problem().devices[i].power_rates_mw;
       const bool selected = schedule.x[i] != 0;
       const double true_gamma =
           edge.engine.video_gamma(user.spec, video, rates);
@@ -711,7 +691,7 @@ void Federation::serve_slot(int slot, FederationReport& report,
       if (selected) {
         (void)core::observe_gamma(session.estimator, session.nig, true_gamma,
                                   config_.observation_noise, config_.seed,
-                                  order[i],
+                                  user_id,
                                   static_cast<std::uint64_t>(global_slot),
                                   faults);
       }

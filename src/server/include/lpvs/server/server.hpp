@@ -94,6 +94,7 @@ struct ServerStats {
   long sessions_completed = 0;  ///< orderly BYE + flush + close
   long forced_closes = 0;       ///< cut by stop() or a drain timeout
   long shed_slots = 0;          ///< slots pushed down the ladder by overload
+  long capacity_violations = 0;  ///< schedules breaking (6)/(7): always 0
 
   // Data-path syscall budget (event_loop.hpp IoStats, summed over the
   // dispatcher and every worker).

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include "lpvs/common/io.hpp"
-#include "lpvs/core/slot_kernel.hpp"
 
 namespace lpvs::server::internal {
 namespace {
@@ -29,8 +28,7 @@ Worker::Worker(const ServerConfig& config, const core::Scheduler& scheduler,
       control_(control),
       schedule_ms_(schedule_ms),
       batch_occupancy_(batch_occupancy),
-      ring_(kHandoffRingSlots),
-      joint_scheduler_(core::scheduler_ilp_defaults(config.slot.lp_engine)) {
+      ring_(kHandoffRingSlots) {
   joint_.ladder = abr::LadderModel(config.abr.ladder);
   joint_.receive_budget_mwh = config.abr.receive_budget_mwh;
   joint_.qoe_weight = config.abr.qoe_weight;
@@ -417,51 +415,30 @@ int Worker::overload_rung(std::size_t batch, std::size_t index) const {
 void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
   obs::ScopedTimer timer(schedule_ms_);
 
-  problem_.compute_capacity = config_.slot.compute_capacity;
-  problem_.storage_capacity = config_.slot.storage_capacity_mb;
-  problem_.lambda = config_.slot.lambda;
-  if (problem_.devices.size() > cluster->members.size()) {
-    problem_.devices.resize(cluster->members.size());
-  }
+  members_.clear();
   order_.clear();
-
-  std::size_t index = 0;
   for (auto& [user_id, member] : cluster->members) {
-    // Content and pricing come from the slot kernel the emulator and the
-    // federation use.
-    const auto genre =
-        static_cast<media::Genre>(member->hello.genre % media::kGenreCount);
-    core::slot_video_into(video_, config_.slot.seed, user_id,
-                          cluster->next_slot, genre,
-                          config_.slot.chunks_per_slot,
-                          member->hello.bitrate_mbps,
-                          config_.slot.chunk_seconds);
-    rates_.resize(video_.chunks.size());
-    core::price_chunks(member->spec, video_.chunks, rates_);
-
-    if (index == problem_.devices.size()) problem_.devices.emplace_back();
-    core::DeviceSlotInput& input = problem_.devices[index];
-    core::fill_slot_row(input,
-                        common::DeviceId{static_cast<std::uint32_t>(user_id)},
-                        member->spec, video_, rates_);
     // Session-scale capacity, as the emulator and the federation size
     // their batteries: scaling both keeps e / capacity at the reported
     // fraction, which is where the anxiety is evaluated.
-    input.battery_capacity_mwh = member->hello.battery_capacity_mwh *
-                                 config_.slot.effective_capacity_scale;
-    input.initial_energy_mwh =
-        member->report.battery_fraction * input.battery_capacity_mwh;
-    input.gamma = member->gamma.expected_gamma();
-
+    const double capacity = member->hello.battery_capacity_mwh *
+                            config_.slot.effective_capacity_scale;
+    members_.push_back(core::SlotMember{
+        .user = user_id,
+        .spec = &member->spec,
+        .genre = static_cast<media::Genre>(member->hello.genre %
+                                           media::kGenreCount),
+        .bitrate_mbps = member->hello.bitrate_mbps,
+        .energy_mwh = member->report.battery_fraction * capacity,
+        .capacity_mwh = capacity,
+        .gamma = member->gamma.expected_gamma()});
     order_.push_back(member);
-    ++index;
   }
+  slot_.assemble(config_.slot, cluster->next_slot, members_);
 
   core::RunContext ctx =
-      context_.with_slot(static_cast<std::int64_t>(cluster->next_slot));
-  if (config_.slot.warm_start) {
-    ctx = ctx.with_solve_cache(&cluster->cache, cluster->id);
-  }
+      context_.with_slot(static_cast<std::int64_t>(cluster->next_slot))
+          .with_solve_cache(&cluster->cache, cluster->id);
   core::SlotDeadline deadline = config_.deadline;
   if (forced_rung >= 0 &&
       (deadline.force_rung < 0 || forced_rung > deadline.force_rung)) {
@@ -470,7 +447,7 @@ void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
   }
   ctx = ctx.with_deadline(deadline);
 
-  core::Schedule schedule;
+  core::CheckedSchedule checked;
   bool joint_mode = false;
   if (config_.abr.enabled) {
     // Joint ABR × transform: same device assembly, widened decision.  The
@@ -478,20 +455,24 @@ void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
     // SCHEDULE rung byte reports full solve); everything stays a pure
     // function of (cluster composition, reports), so payload bytes remain
     // worker-count-independent.
-    std::swap(joint_.base, problem_);
+    std::swap(joint_.base, slot_.problem());
     joint_.streams.resize(order_.size());
     for (std::size_t i = 0; i < order_.size(); ++i) {
       joint_.streams[i].buffer_s = order_[i]->report.buffer_s;
       joint_.streams[i].throughput_mbps = order_[i]->report.throughput_mbps;
     }
     joint_result_ = joint_scheduler_.schedule(joint_, ctx);
-    std::swap(joint_.base, problem_);
-    schedule = joint_result_.display;
+    std::swap(joint_.base, slot_.problem());
+    checked.schedule = joint_result_.display;
+    checked.within_capacity =
+        core::within_capacity(slot_.problem(), checked.schedule);
     joint_mode = true;
   } else {
-    schedule = scheduler_.schedule(problem_, ctx);
+    checked = slot_.solve(scheduler_, ctx);
   }
   counters_.add(kSlots);
+  if (!checked.within_capacity) counters_.add(kCapacityViolations);
+  const core::Schedule& schedule = checked.schedule;
 
   const auto selected = static_cast<std::uint32_t>(schedule.selected_count());
   for (std::size_t i = 0; i < order_.size(); ++i) {
@@ -502,7 +483,7 @@ void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
     push.slot = cluster->next_slot;
     push.transform = transformed ? 1 : 0;
     push.rung = static_cast<std::uint8_t>(schedule.rung);
-    push.expected_gamma = problem_.devices[i].gamma;
+    push.expected_gamma = members_[i].gamma;
     push.objective = schedule.objective;
     push.selected_count = selected;
     push.cluster_devices = static_cast<std::uint32_t>(order_.size());
@@ -515,7 +496,7 @@ void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
     grant.slot = cluster->next_slot;
     grant.chunks = static_cast<std::uint32_t>(config_.slot.chunks_per_slot);
     grant.chunk_seconds = config_.slot.chunk_seconds;
-    grant.power_scale = transformed ? 1.0 - problem_.devices[i].gamma : 1.0;
+    grant.power_scale = transformed ? 1.0 - members_[i].gamma : 1.0;
 
     member->has_report = false;
     // SCHEDULE and GRANT accumulate back to back in the outbound buffer,

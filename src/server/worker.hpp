@@ -29,9 +29,9 @@
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/run_context.hpp"
 #include "lpvs/core/scheduler.hpp"
+#include "lpvs/core/slot_kernel.hpp"
 #include "lpvs/core/slot_problem.hpp"
 #include "lpvs/display/display.hpp"
-#include "lpvs/media/video.hpp"
 #include "lpvs/obs/metrics.hpp"
 #include "lpvs/server/config.hpp"
 #include "lpvs/server/event_loop.hpp"
@@ -57,6 +57,7 @@ enum CounterId : int {
   kCompleted,
   kForcedCloses,
   kShed,
+  kCapacityViolations,
   kHandoffs,
   kIoSyscalls,
   kIoReadSyscalls,
@@ -102,6 +103,9 @@ inline constexpr std::array<CounterSpec, kNumCounters> kCounterSpecs = {{
     {"lpvs_server_shed_total",
      "slots forced down the degradation ladder by overload",
      &ServerStats::shed_slots},
+    {"lpvs_server_capacity_violations_total",
+     "served schedules breaking a capacity row (6)/(7)",
+     &ServerStats::capacity_violations},
     {"lpvs_server_handoffs_total",
      "connections routed from the dispatcher to a worker", nullptr},
     {"lpvs_io_syscalls_total",
@@ -316,16 +320,15 @@ class Worker {
   std::vector<IoOutcome> write_outcomes_;
   IoStats io_seen_;  ///< loop stats already added to the slab
 
-  // Slot-problem scratch, reused across every (cluster, slot): the inner
-  // vectors keep their capacity, so steady-state assembly allocates nothing.
-  core::SlotProblem problem_;
+  // The cluster-slot step and its member rows, reused across every
+  // (cluster, slot): steady-state assembly allocates nothing.
+  core::ClusterSlot slot_;
+  std::vector<core::SlotMember> members_;
   std::vector<Connection*> order_;
-  media::Video video_;
-  std::vector<double> rates_;
 
   // Joint ABR × transform path (config_.abr.enabled): the joint scratch
-  // borrows problem_ as its base via swap, so both modes share the device
-  // assembly above and its pooled capacity.
+  // borrows the step's problem as its base via swap, so both modes share
+  // the device assembly above and its pooled capacity.
   abr::JointAbrScheduler joint_scheduler_;
   abr::JointSlotProblem joint_;
   abr::JointSchedule joint_result_;

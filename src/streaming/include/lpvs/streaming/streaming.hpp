@@ -166,8 +166,8 @@ ChunkRequest available_request(const CdnServer& cdn, const EdgeCache& cache,
                                std::size_t max_chunks);
 
 /// Edge server transform capacity (SIV-D): extra compute units C and
-/// staging storage S available for video transforming, with the admission
-/// arithmetic of constraints (6) and (7).
+/// staging storage S available for video transforming, and the per-request
+/// costs g and h that constraints (6) and (7) sum (core::within_capacity).
 class EdgeServer {
  public:
   struct Capacity {
@@ -192,13 +192,6 @@ class EdgeServer {
                       const media::Video& video) const;
   /// h(d_n(t)) for one request.
   double storage_cost(const media::Video& video) const;
-
-  /// Checks constraints (6) and (7) for a candidate selection, given
-  /// per-device costs.
-  static bool feasible(const std::vector<int>& selection,
-                       const std::vector<double>& compute_costs,
-                       const std::vector<double>& storage_costs,
-                       double compute_capacity, double storage_capacity);
 
  private:
   Capacity capacity_;

@@ -228,22 +228,4 @@ double EdgeServer::storage_cost(const media::Video& video) const {
   return resource_model_.storage_cost(video);
 }
 
-bool EdgeServer::feasible(const std::vector<int>& selection,
-                          const std::vector<double>& compute_costs,
-                          const std::vector<double>& storage_costs,
-                          double compute_capacity, double storage_capacity) {
-  assert(selection.size() == compute_costs.size());
-  assert(selection.size() == storage_costs.size());
-  double compute = 0.0;
-  double storage = 0.0;
-  for (std::size_t n = 0; n < selection.size(); ++n) {
-    if (selection[n] == 0) continue;
-    compute += compute_costs[n];
-    storage += storage_costs[n];
-  }
-  constexpr double kSlack = 1e-9;
-  return compute <= compute_capacity + kSlack &&
-         storage <= storage_capacity + kSlack;
-}
-
 }  // namespace lpvs::streaming

@@ -379,8 +379,6 @@ TEST(SlotProblemConfigBuilders, EachBuilderChangesOnlyItsField) {
       EXPECT_EQ(c.effective_capacity_scale, base.effective_capacity_scale);
     }
     if (f != "seed") EXPECT_EQ(c.seed, base.seed);
-    if (f != "warm") EXPECT_EQ(c.warm_start, base.warm_start);
-    if (f != "engine") EXPECT_EQ(c.lp_engine, base.lp_engine);
   };
   EXPECT_EQ(base.with_compute_capacity(7.0).compute_capacity, 7.0);
   same_except(base.with_compute_capacity(7.0), "compute");
@@ -397,37 +395,33 @@ TEST(SlotProblemConfigBuilders, EachBuilderChangesOnlyItsField) {
   same_except(base.with_effective_capacity_scale(0.5), "scale");
   EXPECT_EQ(base.with_seed(99).seed, 99u);
   same_except(base.with_seed(99), "seed");
-  EXPECT_FALSE(base.with_warm_start(false).warm_start);
-  same_except(base.with_warm_start(false), "warm");
-  EXPECT_EQ(base.with_lp_engine(solver::LpEngine::kDense).lp_engine,
-            solver::LpEngine::kDense);
-  same_except(base.with_lp_engine(solver::LpEngine::kDense), "engine");
 }
 
 TEST(SchedulerOptionsFor, TheConfiguredEngineReachesTheSolver) {
-  const SlotProblemConfig config;
+  const solver::BranchAndBoundSolver::Options served = scheduler_ilp_defaults();
+  EXPECT_EQ(served.engine, solver::LpEngine::kRevised);
   for (solver::LpEngine engine :
        {solver::LpEngine::kDense, solver::LpEngine::kRevised}) {
-    const LpvsScheduler::Options options =
-        scheduler_options_for(config.with_lp_engine(engine));
-    const solver::BranchAndBoundSolver::Options want =
+    const solver::BranchAndBoundSolver::Options options =
         scheduler_ilp_defaults(engine);
-    EXPECT_EQ(options.ilp.engine, engine);
-    EXPECT_EQ(options.ilp.max_nodes, want.max_nodes);
-    EXPECT_EQ(options.ilp.relative_gap, want.relative_gap);
-    EXPECT_EQ(options.ilp.tolerance, want.tolerance);
+    EXPECT_EQ(options.engine, engine);
+    EXPECT_EQ(options.max_nodes, served.max_nodes);
+    EXPECT_EQ(options.relative_gap, served.relative_gap);
+    EXPECT_EQ(options.tolerance, served.tolerance);
   }
   // Engine choice changes the search, never the Phase-1 saving beyond
   // the scheduler's relative gap.
+  const auto scheduler_on = [](solver::LpEngine engine) {
+    LpvsScheduler::Options options;
+    options.ilp = scheduler_ilp_defaults(engine);
+    return LpvsScheduler(options);
+  };
   common::Rng rng(23);
   const SlotProblem problem = random_problem(rng, 14, 0.4);
-  const Schedule dense =
-      LpvsScheduler(scheduler_options_for(
-                        config.with_lp_engine(solver::LpEngine::kDense)))
-          .schedule_phase1_only(problem, context());
-  const Schedule revised =
-      LpvsScheduler(scheduler_options_for(config))
-          .schedule_phase1_only(problem, context());
+  const Schedule dense = scheduler_on(solver::LpEngine::kDense)
+                             .schedule_phase1_only(problem, context());
+  const Schedule revised = scheduler_on(solver::LpEngine::kRevised)
+                               .schedule_phase1_only(problem, context());
   const double dense_saving =
       dense.baseline_energy_mwh - dense.energy_spent_mwh;
   const double revised_saving =

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/slot_kernel.hpp"
@@ -340,6 +342,171 @@ TEST(SlotKernel, LostGammaReportLeavesBothPosteriorsUnmoved) {
             observed);
   EXPECT_NE(gamma.expected_gamma(), prior_gamma);
   EXPECT_NE(nig.expected_gamma(), prior_nig);
+}
+
+// The cluster-slot step (ClusterSlot): the daemon's and the federation's
+// one assembled, solved and checked slot.
+
+SlotProblemConfig step_config() {
+  return SlotProblemConfig{}.with_seed(17).with_chunks_per_slot(6);
+}
+
+std::vector<SlotMember> step_members(std::size_t count, std::uint64_t first) {
+  const auto& catalog = display::DeviceCatalog::standard();
+  std::vector<SlotMember> members;
+  for (std::size_t i = 0; i < count; ++i) {
+    members.push_back(SlotMember{
+        .user = first + 3 * i,
+        .spec = &catalog.at(i % catalog.size()).spec,
+        .genre = static_cast<media::Genre>(i % media::kGenreCount),
+        .bitrate_mbps = 2.0 + static_cast<double>(i),
+        .energy_mwh = 1000.0 + 250.0 * static_cast<double>(i),
+        .capacity_mwh = 3000.0 + 100.0 * static_cast<double>(i),
+        .gamma = 0.2 + 0.05 * static_cast<double>(i)});
+  }
+  return members;
+}
+
+/// Selects every device (pick 1) or none (pick 0), scored like LPVS.
+class FixedScheduler : public Scheduler {
+ public:
+  explicit FixedScheduler(int pick) : pick_(pick) {}
+  std::string name() const override { return "fixed"; }
+  Schedule schedule(const SlotProblem& problem,
+                    const RunContext& context) const override {
+    return score_selection(problem, context.anxiety_model(),
+                           std::vector<int>(problem.devices.size(), pick_));
+  }
+
+ private:
+  int pick_;
+};
+
+TEST(SlotKernel, ClusterSlotRowsEqualTheHandRunKernel) {
+  const SlotProblemConfig config =
+      step_config().with_compute_capacity(7.5).with_lambda(1500.0);
+  const std::vector<SlotMember> members = step_members(4, 5);
+  ClusterSlot step;
+  step.assemble(config, 9, members);
+
+  const SlotProblem& problem = step.problem();
+  EXPECT_EQ(problem.compute_capacity, 7.5);
+  EXPECT_EQ(problem.storage_capacity, config.storage_capacity_mb);
+  EXPECT_EQ(problem.lambda, 1500.0);
+  ASSERT_EQ(problem.devices.size(), members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const SlotMember& member = members[i];
+    media::Video video;
+    slot_video_into(video, config.seed, member.user, 9, member.genre,
+                    config.chunks_per_slot, member.bitrate_mbps,
+                    config.chunk_seconds);
+    std::vector<double> rates(video.chunks.size());
+    price_chunks(*member.spec, video.chunks, rates);
+    DeviceSlotInput want;
+    fill_slot_row(want,
+                  common::DeviceId{static_cast<std::uint32_t>(member.user)},
+                  *member.spec, video, rates);
+
+    const DeviceSlotInput& row = problem.devices[i];
+    EXPECT_EQ(row.id.value, want.id.value);
+    EXPECT_EQ(row.power_rates_mw, want.power_rates_mw);
+    EXPECT_EQ(row.chunk_durations_s, want.chunk_durations_s);
+    EXPECT_EQ(row.compute_cost, want.compute_cost);
+    EXPECT_EQ(row.storage_cost, want.storage_cost);
+    EXPECT_EQ(row.sla_weight, want.sla_weight);
+    EXPECT_EQ(row.initial_energy_mwh, member.energy_mwh);
+    EXPECT_EQ(row.battery_capacity_mwh, member.capacity_mwh);
+    EXPECT_EQ(row.gamma, member.gamma);
+    EXPECT_EQ(step.video(i).id.value, video.id.value);
+    ASSERT_EQ(step.video(i).chunks.size(), video.chunks.size());
+    std::vector<double> step_rates(video.chunks.size());
+    price_chunks(*member.spec, step.video(i).chunks, step_rates);
+    EXPECT_EQ(step_rates, rates);
+  }
+}
+
+TEST(SlotKernel, ClusterSlotLeavesNoStaleRowOrVideo) {
+  ClusterSlot reused;
+  reused.assemble(step_config(), 3, step_members(5, 100));
+  const std::vector<SlotMember> fewer = step_members(2, 40);
+  reused.assemble(step_config(), 4, fewer);
+  ClusterSlot fresh;
+  fresh.assemble(step_config(), 4, fewer);
+
+  ASSERT_EQ(reused.problem().devices.size(), 2u);
+  for (std::size_t i = 0; i < fewer.size(); ++i) {
+    const DeviceSlotInput& row = reused.problem().devices[i];
+    const DeviceSlotInput& want = fresh.problem().devices[i];
+    EXPECT_EQ(row.id.value, want.id.value);
+    EXPECT_EQ(row.power_rates_mw, want.power_rates_mw);
+    EXPECT_EQ(row.chunk_durations_s, want.chunk_durations_s);
+    EXPECT_EQ(row.compute_cost, want.compute_cost);
+    EXPECT_EQ(row.storage_cost, want.storage_cost);
+    EXPECT_EQ(row.initial_energy_mwh, want.initial_energy_mwh);
+    EXPECT_EQ(row.gamma, want.gamma);
+    EXPECT_EQ(reused.video(i).id.value, fresh.video(i).id.value);
+    EXPECT_EQ(reused.video(i).chunks.size(), fresh.video(i).chunks.size());
+  }
+  // A schedule sized for the old cluster no longer fits the problem.
+  Schedule stale;
+  stale.x.assign(5, 0);
+  EXPECT_FALSE(within_capacity(reused.problem(), stale));
+}
+
+TEST(SlotKernel, CapacityCheckArithmetic) {
+  SlotProblem problem;
+  for (int n = 1; n <= 3; ++n) {
+    DeviceSlotInput& device = problem.devices.emplace_back();
+    device.compute_cost = n;
+    device.storage_cost = 10.0 * n;
+  }
+  const auto fits = [&](std::vector<int> x, double compute, double storage) {
+    problem.compute_capacity = compute;
+    problem.storage_capacity = storage;
+    Schedule schedule;
+    schedule.x = std::move(x);
+    return within_capacity(problem, schedule);
+  };
+  EXPECT_TRUE(fits({1, 1, 0}, 3.0, 30.0));
+  EXPECT_FALSE(fits({1, 1, 1}, 5.0, 100.0));
+  EXPECT_FALSE(fits({0, 0, 1}, 10.0, 29.0));
+  EXPECT_TRUE(fits({0, 0, 0}, 0.0, 0.0));
+  EXPECT_FALSE(fits({0, 0}, 10.0, 100.0));  // one decision per device
+}
+
+TEST(SlotKernel, ClusterSlotFlagsAnOverCapacitySchedule) {
+  const std::vector<SlotMember> members = step_members(3, 1);
+  ClusterSlot step;
+  step.assemble(step_config(), 0, members);
+  double compute = 0.0;
+  double storage = 0.0;
+  for (const DeviceSlotInput& row : step.problem().devices) {
+    compute += row.compute_cost;
+    storage += row.storage_cost;
+  }
+  const RunContext context(anxiety());
+  const FixedScheduler all(1);
+  const FixedScheduler none(0);
+
+  // Both rows exactly full: feasible.
+  step.assemble(step_config().with_compute_capacity(compute)
+                    .with_storage_capacity_mb(storage),
+                0, members);
+  EXPECT_TRUE(step.solve(all, context).within_capacity);
+
+  // Either row short by more than the slack: flagged.
+  step.assemble(step_config().with_compute_capacity(compute - 1e-6), 0,
+                members);
+  const CheckedSchedule over_compute = step.solve(all, context);
+  EXPECT_EQ(over_compute.schedule.selected_count(), 3);
+  EXPECT_FALSE(over_compute.within_capacity);
+  EXPECT_TRUE(step.solve(none, context).within_capacity);
+  EXPECT_TRUE(step.solve(LpvsScheduler{}, context).within_capacity);
+
+  step.assemble(step_config().with_storage_capacity_mb(storage - 1e-6), 0,
+                members);
+  EXPECT_FALSE(step.solve(all, context).within_capacity);
+  EXPECT_TRUE(step.solve(LpvsScheduler{}, context).within_capacity);
 }
 
 }  // namespace

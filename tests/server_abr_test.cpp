@@ -119,6 +119,7 @@ loadgen::LoadGenReport run_fleet(std::uint32_t workers,
   const server::ServerStats stats = daemon.stats();
   EXPECT_EQ(stats.sessions_completed, 24);
   EXPECT_EQ(stats.forced_closes, 0);
+  EXPECT_EQ(stats.capacity_violations, 0);
   return report.ok() ? *report : loadgen::LoadGenReport{};
 }
 

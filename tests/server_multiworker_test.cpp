@@ -87,6 +87,7 @@ std::map<std::uint64_t, std::uint64_t> digests_at(
   const server::ServerStats stats = daemon.stats();
   EXPECT_EQ(stats.sessions_completed, 32);
   EXPECT_EQ(stats.forced_closes, 0);
+  EXPECT_EQ(stats.capacity_violations, 0);
   return report.ok() ? report->digests
                      : std::map<std::uint64_t, std::uint64_t>{};
 }
@@ -218,6 +219,7 @@ TEST(MultiWorker, DrainUnderLoadFinishesEverySessionOrderly) {
   const server::ServerStats stats = daemon.stats();
   EXPECT_EQ(stats.sessions_completed, 32);
   EXPECT_EQ(stats.forced_closes, 0);
+  EXPECT_EQ(stats.capacity_violations, 0);
   EXPECT_EQ(stats.active, 0);
   EXPECT_EQ(stats.slots_scheduled, 8L * 50L);
 }

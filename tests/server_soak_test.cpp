@@ -52,6 +52,7 @@ TEST(ServerSoak, TwoHundredFiftySixClientsTwoHundredSlots) {
   EXPECT_EQ(stats.sessions_completed, 256);
   EXPECT_EQ(stats.active, 0);
   EXPECT_EQ(stats.forced_closes, 0);
+  EXPECT_EQ(stats.capacity_violations, 0);
   EXPECT_EQ(stats.decode_errors, 0);
   EXPECT_EQ(stats.slots_scheduled, 32L * 200L);
 }

@@ -270,6 +270,50 @@ TEST(EdgeServerDaemon, SchedulerSeesTheReportedBatteryFraction) {
   EXPECT_DOUBLE_EQ(fractions[1], reported[1]);
 }
 
+/// Transforms every device, whatever the capacity rows say.
+class AllInScheduler : public core::Scheduler {
+ public:
+  std::string name() const override { return "all-in"; }
+  core::Schedule schedule(const core::SlotProblem& problem,
+                          const core::RunContext& context) const override {
+    return core::score_selection(
+        problem, context.anxiety_model(),
+        std::vector<int>(problem.devices.size(), 1));
+  }
+};
+
+TEST(EdgeServerDaemon, CountsSchedulesThatBreakACapacityRow) {
+  // Two viewers on an edge whose compute row fits less than one stream:
+  // a scheduler that ignores (6) must show up in the counter.
+  const AllInScheduler all_in;
+  const server::ServerConfig config = server::ServerConfig{}.with_slot_problem(
+      core::SlotProblemConfig{}.with_compute_capacity(0.01));
+  server::EdgeServerDaemon daemon(config, all_in, core::RunContext(anxiety()));
+  ASSERT_TRUE(daemon.start().ok());
+
+  const int a = connect_to(daemon.port());
+  const int b = connect_to(daemon.port());
+  ASSERT_TRUE(send_frame(a, protocol::make_frame(hello_for(1, 4, 2, 1))));
+  ASSERT_TRUE(send_frame(b, protocol::make_frame(hello_for(2, 4, 2, 1))));
+  ASSERT_TRUE(read_frame(a).ok());  // HELLOACK
+  ASSERT_TRUE(read_frame(b).ok());
+  ASSERT_TRUE(send_frame(a, protocol::make_frame(report_for(0))));
+  ASSERT_TRUE(send_frame(b, protocol::make_frame(report_for(0))));
+  for (const int fd : {a, b}) {
+    auto schedule = read_frame(fd);
+    ASSERT_TRUE(schedule.ok()) << schedule.status().to_string();
+    EXPECT_EQ(schedule->as<protocol::Schedule>().transform, 1);
+    ASSERT_TRUE(read_frame(fd).ok());  // GRANT
+    ASSERT_TRUE(send_frame(fd, protocol::make_frame(protocol::Bye{0})));
+    io::close_fd(fd);
+  }
+  ASSERT_TRUE(daemon.drain(5000).ok());
+
+  const server::ServerStats stats = daemon.stats();
+  EXPECT_EQ(stats.slots_scheduled, 1);
+  EXPECT_EQ(stats.capacity_violations, 1);
+}
+
 TEST(EdgeServerDaemon, ClusterBarrierWaitsForAllMembers) {
   server::ServerConfig config;
   server::EdgeServerDaemon daemon(config, scheduler(),

@@ -347,14 +347,5 @@ TEST(EdgeServerTest, DefaultCapacityServesHundredStreams) {
   EXPECT_NEAR(server.capacity().compute_units / per_stream, 100.0, 1.0);
 }
 
-TEST(EdgeServerTest, FeasibilityArithmetic) {
-  const std::vector<double> compute = {1.0, 2.0, 3.0};
-  const std::vector<double> storage = {10.0, 20.0, 30.0};
-  EXPECT_TRUE(EdgeServer::feasible({1, 1, 0}, compute, storage, 3.0, 30.0));
-  EXPECT_FALSE(EdgeServer::feasible({1, 1, 1}, compute, storage, 5.0, 100.0));
-  EXPECT_FALSE(EdgeServer::feasible({0, 0, 1}, compute, storage, 10.0, 29.0));
-  EXPECT_TRUE(EdgeServer::feasible({0, 0, 0}, compute, storage, 0.0, 0.0));
-}
-
 }  // namespace
 }  // namespace lpvs::streaming
