@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the end-to-end machinery: survey
 // extraction throughput, trace synthesis, one emulated slot at different
-// VC sizes, and the signaling cost arithmetic.
+// VC sizes, the signaling cost arithmetic, checkpoint codecs and the
+// fork-join the federation pays per phase.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+
 #include "lpvs/common/rng.hpp"
+#include "lpvs/common/thread_pool.hpp"
 #include "lpvs/core/signaling.hpp"
 #include "lpvs/emu/emulator.hpp"
 #include "lpvs/fleet/checkpoint.hpp"
@@ -168,6 +172,21 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_CheckpointRoundTrip)->Arg(50)->Arg(400);
+
+/// The fork-join a federation slot pays twice (serve, then checkpoint):
+/// one parallel_for over 9 empty tasks on a pool of `range(0)` workers.
+/// Wall time, since the caller's share is spent waiting for the workers.
+void BM_ParallelForForkJoin(benchmark::State& state) {
+  lpvs::common::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  std::atomic<long> ran{0};
+  for (auto _ : state) {
+    lpvs::common::parallel_for(pool, 9, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  benchmark::DoNotOptimize(ran.load());
+}
+BENCHMARK(BM_ParallelForForkJoin)->Arg(1)->Arg(2)->UseRealTime();
 
 }  // namespace
 

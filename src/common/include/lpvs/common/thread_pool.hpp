@@ -3,11 +3,17 @@
 // Determinism note: callers must make each task's result independent of
 // execution order (every LPVS experiment derives its randomness from
 // explicit per-task seeds), so parallel and serial runs are bit-identical.
+//
+// parallel_for is a fork-join on the calling thread: the caller claims and
+// runs indices alongside the pool's workers.  So a pool that serves
+// parallel_for for `threads` total threads holds threads - 1 workers;
+// helper_pool() builds it.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -30,6 +36,9 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
+  /// Tasks submitted and not yet finished.
+  std::size_t pending() const;
+
   std::size_t thread_count() const { return workers_.size(); }
 
  private:
@@ -37,15 +46,24 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
 };
 
-/// Runs fn(i) for i in [0, count) across the pool and waits for all.
+/// Runs fn(i) once for each i in [0, count) and returns when all are done.
+/// The caller runs index 0 and then claims indices from one shared counter
+/// alongside min(workers, count - 1) helper tasks, so count <= 1 submits
+/// nothing.  It waits only for indices, not for the pool: a helper that
+/// starts after the last index finishes claims nothing and exits.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
+
+/// The worker pool for parallel_for at `threads` total threads, the caller
+/// included (0 = hardware concurrency): threads - 1 workers, or null when
+/// that leaves none and the caller runs everything alone.
+std::unique_ptr<ThreadPool> helper_pool(unsigned threads);
 
 }  // namespace lpvs::common

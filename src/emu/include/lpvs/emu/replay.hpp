@@ -35,9 +35,9 @@ struct ReplayConfig : ClusterParams {
   int max_clusters = 16;
   /// Per-cluster emulation horizon cap, slots (bounded by session end).
   int max_slots = 24;
-  /// Worker threads for the per-cluster emulations (clusters are
-  /// independent and seeded per session, so any thread count produces
-  /// bit-identical reports); 0 = hardware concurrency.
+  /// Threads for the per-cluster emulations, the calling thread included
+  /// (clusters are independent and seeded per session, so any thread count
+  /// produces bit-identical reports); 0 = hardware concurrency.
   unsigned threads = 1;
 };
 

@@ -95,11 +95,12 @@ ReplayReport replay_city(const trace::Trace& trace,
     outcomes[i] = std::move(outcome);
   };
 
-  if (config.threads == 1 || candidates.size() <= 1) {
+  const std::unique_ptr<common::ThreadPool> pool =
+      candidates.size() > 1 ? common::helper_pool(config.threads) : nullptr;
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < candidates.size(); ++i) run_one(i);
   } else {
-    common::ThreadPool pool(config.threads);
-    common::parallel_for(pool, candidates.size(), run_one);
+    common::parallel_for(*pool, candidates.size(), run_one);
   }
 
   double scheduler_ms = 0.0;

@@ -2,8 +2,10 @@
 // parallel_for coverage, and determinism of seed-driven parallel work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "lpvs/common/rng.hpp"
@@ -65,6 +67,93 @@ TEST(ParallelFor, CoversEveryIndexOnce) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
+}
+
+/// Occupies every worker of `pool` until release(): a task submitted
+/// meanwhile stays pending, and a parallel_for that waited for one would
+/// never return.
+class WorkerGate {
+ public:
+  explicit WorkerGate(ThreadPool& pool) : pool_(pool) {
+    for (std::size_t w = 0; w < pool.thread_count(); ++w) {
+      pool.submit([this] {
+        while (!open_.load()) std::this_thread::yield();
+      });
+    }
+  }
+  ~WorkerGate() { release(); }
+  void release() {
+    open_.store(true);
+    pool_.wait_idle();
+  }
+
+ private:
+  ThreadPool& pool_;
+  std::atomic<bool> open_{false};
+};
+
+TEST(ParallelFor, CountZeroRunsAndSubmitsNothing) {
+  ThreadPool pool(2);
+  WorkerGate gate(pool);
+  int calls = 0;
+  parallel_for(pool, 0, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(pool.pending(), pool.thread_count());  // just the gate's tasks
+}
+
+TEST(ParallelFor, CountOneRunsOnTheCaller) {
+  ThreadPool pool(2);
+  WorkerGate gate(pool);
+  std::thread::id ran_on;
+  std::size_t index = 99;
+  parallel_for(pool, 1, [&](std::size_t i) {
+    ran_on = std::this_thread::get_id();
+    index = i;
+  });
+  EXPECT_EQ(index, 0u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(pool.pending(), pool.thread_count());  // just the gate's tasks
+}
+
+TEST(ParallelFor, CallerFinishesWithoutWaitingForBusyWorkers) {
+  // Every worker is busy, so the helpers stay queued: the caller runs all
+  // the indices itself and returns; the helpers later find nothing left.
+  ThreadPool pool(2);
+  WorkerGate gate(pool);
+  std::vector<int> hits(5, 0);
+  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  EXPECT_EQ(hits, std::vector<int>(5, 1));
+  EXPECT_EQ(pool.pending(), 2 * pool.thread_count());  // gate + helpers
+  gate.release();
+  EXPECT_EQ(hits, std::vector<int>(5, 1));
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(ParallelFor, CallerAndWorkersRunEachIndexOnce) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int wave = 0; wave < 20; ++wave) {
+    std::vector<std::atomic<int>> hits(1000);
+    std::atomic<int> on_caller{0};
+    parallel_for(pool, hits.size(), [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "wave " << wave << " index " << i;
+    }
+    EXPECT_GE(on_caller.load(), 1) << "wave " << wave;
+  }
+}
+
+TEST(HelperPool, LeavesOneThreadToTheCaller) {
+  EXPECT_EQ(helper_pool(1), nullptr);
+  const std::unique_ptr<ThreadPool> pool = helper_pool(3);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->thread_count(), 2u);
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::unique_ptr<ThreadPool> all = helper_pool(0);
+  EXPECT_EQ(all == nullptr ? 0u : all->thread_count(), hardware - 1);
 }
 
 TEST(ParallelFor, SeedDrivenWorkDeterministicAcrossThreadCounts) {
