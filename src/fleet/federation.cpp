@@ -66,29 +66,103 @@ std::uint64_t place_key(std::uint64_t user, std::uint32_t epoch) {
   return (static_cast<std::uint64_t>(epoch) << 32) ^ user;
 }
 
+/// A registry counter looked up on its first event: a snapshot holds the
+/// same series as one that looks it up per event, and later events skip
+/// the registry's name lookup and mutex.  Null registry: add() is a no-op.
+class LazyCounter {
+ public:
+  LazyCounter(const char* name, const char* help) : name_(name), help_(help) {}
+
+  void add(obs::MetricsRegistry* registry, long delta = 1) {
+    if (registry == nullptr) return;
+    if (counter_ == nullptr) counter_ = &registry->counter(name_, help_);
+    counter_->add(delta);
+  }
+
+ private:
+  const char* name_;
+  const char* help_;
+  obs::Counter* counter_ = nullptr;
+};
+
 }  // namespace
+
+/// The federation's registry counters.  Only the serial phases count, so
+/// the lazy handles need no synchronisation.
+struct Federation::Counters {
+  LazyCounter slots{"fleet_slots_total", "Federation slots executed"};
+  LazyCounter arrivals{"lpvs_fleet_arrivals_total",
+                       "Diurnal mid-run viewer arrivals"};
+  LazyCounter failovers{"fleet_failover_total",
+                        "Server crashes recovered by checkpoint failover"};
+  LazyCounter sessions_started{
+      "lpvs_fleet_sessions_started_total",
+      "Viewer session attaches (initial and re-attach)"};
+  LazyCounter sessions_ended{"lpvs_fleet_sessions_ended_total",
+                             "Viewer sessions closed in order"};
+  LazyCounter sessions_lost{
+      "lpvs_fleet_sessions_lost_total",
+      "Active viewers stranded without a serving session"};
+  LazyCounter cold_restarts{"fleet_cold_restarts_total",
+                            "Sessions rebuilt at the prior after lost state"};
+  LazyCounter placement_moves{
+      "fleet_placement_moves_total",
+      "Users re-placed by server join/leave rebalancing"};
+  LazyCounter handoffs{"fleet_handoff_total",
+                       "Session-state transfers attempted between servers"};
+  LazyCounter handoff_retries{"fleet_handoff_retries_total",
+                              "Extra delivery attempts across all handoffs"};
+  LazyCounter handoff_failures{
+      "fleet_handoff_failures_total",
+      "Handoffs that burned the retry budget (cold restart)"};
+  LazyCounter autoscale_joins{"lpvs_fleet_autoscale_joins_total",
+                              "Servers added by the load-derived autoscaler"};
+  LazyCounter autoscale_leaves{
+      "lpvs_fleet_autoscale_leaves_total",
+      "Servers retired by the load-derived autoscaler"};
+};
 
 /// One emulated viewer: the device-side ground truth (battery, watching
 /// state, content identity).  Server-side learned state lives in the
 /// sessions; a crash can lose the learning, never the device.
 struct Federation::FleetUser {
+  // Fields run from narrow to wide within each group so the struct packs
+  // without padding: a diurnal day holds thousands of users.
   std::uint64_t id = 0;
   media::Genre genre = media::Genre::kIrlChat;
+  bool watching = true;
+  bool placed = false;
+  /// A session existed at some point; re-creating one afterwards is a cold
+  /// restart (learned state lost), unlike the initial attach.
+  bool established = false;
+  int giveup_percent = 10;
   double bitrate_mbps = 3.0;
   display::DisplaySpec spec;
   battery::Battery battery;
   double start_fraction = 0.5;
-  int giveup_percent = 10;
-  int end_slot = 0;  ///< trace slot after which the user stops watching
-  bool watching = true;
   double watch_minutes = 0.0;
+  int end_slot = 0;  ///< trace slot after which the user stops watching
   std::uint32_t epoch = 0;       ///< mobility epoch (placement key salt)
   std::uint32_t prev_epoch = 0;  ///< epoch at the previous reconcile
-  bool placed = false;
+  std::uint32_t winner_epoch = 0;  ///< epoch `winner` was placed under
   std::uint64_t server = 0;
-  /// A session existed at some point; re-creating one afterwards is a cold
-  /// restart (learned state lost), unlike the initial attach.
-  bool established = false;
+  /// The memoized rendezvous winner and the membership generation it was
+  /// placed under (the sentinel: not placed yet).
+  std::uint64_t winner = 0;
+  std::uint64_t winner_generation = ~std::uint64_t{0};
+
+  bool active() const { return watching && !battery.empty(); }
+
+  /// place() of this user's key, re-run only when their epoch or the
+  /// membership moved since the last call.
+  std::uint64_t rendezvous_winner(const Placement& placement) {
+    if (winner_epoch != epoch || winner_generation != placement.generation()) {
+      winner = placement.place(place_key(id, epoch));
+      winner_epoch = epoch;
+      winner_generation = placement.generation();
+    }
+    return winner;
+  }
 };
 
 /// Per-session learned state held by the owning server (what handoff moves
@@ -134,14 +208,13 @@ Federation::Federation(FederationConfig config, const trace::Trace& trace,
       trace_(trace),
       scheduler_(scheduler),
       context_(context),
-      placement_(std::vector<ServerInfo>{}) {
+      placement_(std::vector<ServerInfo>{}),
+      pool_(common::helper_pool(config_.threads)),
+      counters_(std::make_unique<Counters>()) {
   assert(config_.servers > 0);
   assert(config_.slots > 0);
   assert(config_.chunks_per_slot > 0);
   assert(context_.anxiety != nullptr);
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<common::ThreadPool>(config_.threads);
-  }
 }
 
 Federation::~Federation() = default;
@@ -191,6 +264,7 @@ void Federation::setup_users() {
   const int user_count = live.empty() ? 0 : config_.users;
   users_.clear();
   users_.reserve(static_cast<std::size_t>(user_count));
+  live_.clear();
 
   // Give-up thresholds from the survey answer model, exactly like the
   // single-server emulator.
@@ -222,6 +296,7 @@ void Federation::setup_users() {
         participants[static_cast<std::size_t>(n)].giveup_level;
     user.end_slot = session->end_slot();
     users_.push_back(std::move(user));
+    live_.push_back(static_cast<std::uint32_t>(n));
   }
 
   // Channel templates the diurnal arrival process clones from: one per
@@ -294,15 +369,11 @@ void Federation::spawn_arrivals(int slot, FederationReport& report) {
                           diurnal.min_lifetime_slots,
                           diurnal.max_lifetime_slots));
     users_.push_back(std::move(user));
+    live_.push_back(static_cast<std::uint32_t>(id));
     ++spawned;
   }
   report.arrivals += spawned;
-  if (context_.metrics != nullptr && spawned > 0) {
-    context_.metrics
-        ->counter("lpvs_fleet_arrivals_total",
-                  "Diurnal mid-run viewer arrivals")
-        .add(spawned);
-  }
+  if (spawned > 0) counters_->arrivals.add(context_.metrics, spawned);
 }
 
 void Federation::handle_crashes(int slot, FederationReport& report) {
@@ -326,12 +397,7 @@ void Federation::handle_crashes(int slot, FederationReport& report) {
     edge->slots_run = 0;
     ++edge->report.failovers;
     ++report.failovers;
-    if (registry != nullptr) {
-      registry
-          ->counter("fleet_failover_total",
-                    "Server crashes recovered by checkpoint failover")
-          .add(1);
-    }
+    counters_->failovers.add(registry);
     if (context_.events != nullptr) {
       context_.events->record(
           {obs::EventKind::kFaultInjected, global_slot, /*device=*/-1,
@@ -373,30 +439,25 @@ void Federation::handle_crashes(int slot, FederationReport& report) {
   }
 }
 
-void Federation::reconcile_placement(int slot, bool rebalancing,
-                                     FederationReport& report) {
+void Federation::reconcile_placement(int slot, FederationReport& report) {
   obs::MetricsRegistry* registry = context_.metrics;
   const int global_slot = config_.start_slot + slot;
   const fault::FaultInjector* faults = context_.faults;
+  Counters& counters = *counters_;
 
-  for (FleetUser& user : users_) {
+  for (const std::uint32_t id : live_) {
+    FleetUser& user = users_[id];
     // Trace lifetime: the channel's session ended, the viewer leaves.
     if (user.watching && global_slot >= user.end_slot) user.watching = false;
-    const bool active = user.watching && !user.battery.empty();
 
-    if (!active) {
+    if (!user.active()) {
       if (user.placed) {
         auto it = servers_.find(user.server);
         if (it != servers_.end()) it->second->sessions.erase(user.id);
         user.placed = false;
         // Orderly close: trace end, battery empty, or give-up.
         ++report.sessions_ended;
-        if (registry != nullptr) {
-          registry
-              ->counter("lpvs_fleet_sessions_ended_total",
-                        "Viewer sessions closed in order")
-              .add(1);
-        }
+        counters.sessions_ended.add(registry);
       }
       user.prev_epoch = user.epoch;
       continue;
@@ -407,8 +468,7 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
       user.prev_epoch = user.epoch;
       continue;
     }
-    const std::uint64_t desired = placement_.place(place_key(user.id,
-                                                             user.epoch));
+    const std::uint64_t desired = user.rendezvous_winner(placement_);
 
     if (!user.placed) {
       // First attach (or re-attach after inactivity): cold session, no
@@ -416,23 +476,13 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
       user.server = desired;
       user.placed = true;
       ++report.sessions_started;
-      if (registry != nullptr) {
-        registry
-            ->counter("lpvs_fleet_sessions_started_total",
-                      "Viewer session attaches (initial and re-attach)")
-            .add(1);
-      }
+      counters.sessions_started.add(registry);
       EdgeServer& dest = server(desired);
       if (dest.sessions.find(user.id) == dest.sessions.end()) {
         dest.sessions[user.id] = ServerSession{};
         if (user.established) {
           ++dest.report.cold_restarts;
-          if (registry != nullptr) {
-            registry
-                ->counter("fleet_cold_restarts_total",
-                          "Sessions rebuilt at the prior after lost state")
-                .add(1);
-          }
+          counters.cold_restarts.add(registry);
         }
         user.established = true;
       }
@@ -447,12 +497,7 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
       if (home.sessions.find(user.id) == home.sessions.end()) {
         home.sessions[user.id] = ServerSession{};
         ++home.report.cold_restarts;
-        if (registry != nullptr) {
-          registry
-              ->counter("fleet_cold_restarts_total",
-                        "Sessions rebuilt at the prior after lost state")
-              .add(1);
-        }
+        counters.cold_restarts.add(registry);
       }
       user.prev_epoch = user.epoch;
       continue;
@@ -463,12 +508,7 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
     const bool moved_by_rebalance = user.epoch == user.prev_epoch;
     if (moved_by_rebalance) {
       ++report.placement_moves;
-      if (registry != nullptr) {
-        registry
-            ->counter("fleet_placement_moves_total",
-                      "Users re-placed by server join/leave rebalancing")
-            .add(1);
-      }
+      counters.placement_moves.add(registry);
     }
 
     EdgeServer& dest = server(desired);
@@ -494,17 +534,9 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
       SessionState received;
       const HandoffOutcome outcome = handoff_.transfer(
           faults, state, static_cast<std::uint64_t>(global_slot), received);
-      if (registry != nullptr) {
-        registry
-            ->counter("fleet_handoff_total",
-                      "Session-state transfers attempted between servers")
-            .add(1);
-        if (outcome.attempts > 1) {
-          registry
-              ->counter("fleet_handoff_retries_total",
-                        "Extra delivery attempts across all handoffs")
-              .add(outcome.attempts - 1);
-        }
+      counters.handoffs.add(registry);
+      if (outcome.attempts > 1) {
+        counters.handoff_retries.add(registry, outcome.attempts - 1);
       }
       if (outcome.transferred) {
         ServerSession session;
@@ -522,12 +554,7 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
         }
       } else {
         ++report.handoff_failures;
-        if (registry != nullptr) {
-          registry
-              ->counter("fleet_handoff_failures_total",
-                        "Handoffs that burned the retry budget (cold restart)")
-              .add(1);
-        }
+        counters.handoff_failures.add(registry);
       }
       source_it->second->sessions.erase(user.id);
     }
@@ -535,24 +562,23 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
     if (!installed) {
       dest.sessions[user.id] = ServerSession{};
       ++dest.report.cold_restarts;
-      if (registry != nullptr) {
-        registry
-            ->counter("fleet_cold_restarts_total",
-                      "Sessions rebuilt at the prior after lost state")
-            .add(1);
-      }
+      counters.cold_restarts.add(registry);
     }
     user.server = desired;
     user.prev_epoch = user.epoch;
   }
+
+  // Inactive users are unplaced by now: close them for good.
+  std::erase_if(live_, [&](std::uint32_t id) { return !users_[id].active(); });
+  assert(closed_users_stay_closed());
 
   // Loss audit: every viewer who is still watching with charge left must
   // hold a serving session somewhere after reconciliation — crash recovery,
   // handoff fallback, and rebalancing all funnel through the branches
   // above, so anyone left stranded here is a genuinely lost session (the
   // soak's zero-lost-sessions SLO counts exactly this).
-  for (const FleetUser& user : users_) {
-    if (!user.watching || user.battery.empty()) continue;
+  for (const std::uint32_t id : live_) {
+    const FleetUser& user = users_[id];
     bool has_session = false;
     if (user.placed) {
       const auto it = servers_.find(user.server);
@@ -561,12 +587,7 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
     }
     if (!has_session) {
       ++report.sessions_lost;
-      if (registry != nullptr) {
-        registry
-            ->counter("lpvs_fleet_sessions_lost_total",
-                      "Active viewers stranded without a serving session")
-            .add(1);
-      }
+      counters.sessions_lost.add(registry);
     }
   }
 
@@ -580,8 +601,18 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
       ++it;
     }
   }
-  (void)rebalancing;
-  (void)slot;
+}
+
+bool Federation::closed_users_stay_closed() const {
+  std::size_t next_live = 0;
+  for (std::size_t id = 0; id < users_.size(); ++id) {
+    if (next_live < live_.size() && live_[next_live] == id) {
+      ++next_live;
+    } else if (users_[id].placed || users_[id].active()) {
+      return false;
+    }
+  }
+  return next_live == live_.size();
 }
 
 void Federation::serve_slot(int slot, FederationReport& report,
@@ -698,7 +729,7 @@ void Federation::serve_slot(int slot, FederationReport& report,
     }
   };
 
-  if (pool_ == nullptr || active.size() <= 1) {
+  if (pool_ == nullptr) {
     for (std::size_t i = 0; i < active.size(); ++i) serve_one(i);
   } else {
     common::parallel_for(*pool_, active.size(), serve_one);
@@ -774,7 +805,6 @@ void Federation::evaluate_autoscale(int slot, FederationReport& report) {
       degraded_fraction < 0.5 * scale.degraded_fraction_out &&
       window_failovers == 0;
 
-  obs::MetricsRegistry* registry = context_.metrics;
   if (scale_out) {
     const std::uint64_t id = next_auto_server_++;
     placement_.add_server({id, 1.0});
@@ -789,12 +819,7 @@ void Federation::evaluate_autoscale(int slot, FederationReport& report) {
     servers_[id] = std::move(edge);
     ++report.autoscale_joins;
     last_scale_slot_ = slot;
-    if (registry != nullptr) {
-      registry
-          ->counter("lpvs_fleet_autoscale_joins_total",
-                    "Servers added by the load-derived autoscaler")
-          .add(1);
-    }
+    counters_->autoscale_joins.add(context_.metrics);
   } else if (scale_in) {
     // Retire the youngest server: autoscale-minted ids are highest, so
     // scale-in unwinds scale-out before touching the configured fleet.
@@ -803,12 +828,7 @@ void Federation::evaluate_autoscale(int slot, FederationReport& report) {
     if (it != servers_.end()) it->second->leaving = true;
     ++report.autoscale_leaves;
     last_scale_slot_ = slot;
-    if (registry != nullptr) {
-      registry
-          ->counter("lpvs_fleet_autoscale_leaves_total",
-                    "Servers retired by the load-derived autoscaler")
-          .add(1);
-    }
+    counters_->autoscale_leaves.add(context_.metrics);
   }
 }
 
@@ -850,7 +870,7 @@ void Federation::take_checkpoints(int slot) {
     frames[index] = checkpoint.encode();
   };
 
-  if (pool_ == nullptr || live.size() <= 1) {
+  if (pool_ == nullptr) {
     for (std::size_t i = 0; i < live.size(); ++i) encode_one(i);
   } else {
     common::parallel_for(*pool_, live.size(), encode_one);
@@ -887,16 +907,15 @@ FederationReport Federation::run() {
   double anxiety_accumulator = 0.0;
   for (int slot = 0; slot < config_.slots; ++slot) {
     const int global_slot = config_.start_slot + slot;
+    const auto slot_start = std::chrono::steady_clock::now();
 
     // (0) Diurnal arrivals: new viewers join following the day curve.
     spawn_arrivals(slot, report);
 
     // (1) Membership: scheduled joins/leaves fire at the slot start, each
     // rebalancing only the users whose rendezvous winner changed.
-    bool rebalancing = false;
     for (const MembershipEvent& event : config_.membership) {
       if (event.slot != slot) continue;
-      rebalancing = true;
       if (event.join) {
         placement_.add_server({event.server, event.weight});
         if (servers_.find(event.server) == servers_.end()) {
@@ -927,8 +946,9 @@ FederationReport Federation::run() {
 
     // (3) Mobility: each active user may roam, redrawing their placement.
     if (config_.mobility_rate > 0.0) {
-      for (FleetUser& user : users_) {
-        if (!user.watching || user.battery.empty()) continue;
+      for (const std::uint32_t id : live_) {
+        FleetUser& user = users_[id];
+        if (!user.active()) continue;
         common::Rng mobility_rng =
             derived_rng(config_.seed ^ kMobilitySalt, user.id,
                         static_cast<std::uint64_t>(global_slot));
@@ -937,7 +957,7 @@ FederationReport Federation::run() {
     }
 
     // (4) Reconcile: desired vs. actual placement; moved users hand off.
-    reconcile_placement(slot, rebalancing, report);
+    reconcile_placement(slot, report);
 
     // (5) Serve the slot on every server (parallel across servers).  The
     // wall time of the serve phase is the fleet-level request->schedule
@@ -945,6 +965,9 @@ FederationReport Federation::run() {
     const long anxiety_samples_before = report.anxiety_samples;
     const double anxiety_before = anxiety_accumulator;
     const auto serve_start = std::chrono::steady_clock::now();
+    const double pre_serve_ms =
+        std::chrono::duration<double, std::milli>(serve_start - slot_start)
+            .count();
     serve_slot(slot, report, anxiety_accumulator);
     const double serve_ms =
         std::chrono::duration<double, std::milli>(
@@ -960,15 +983,19 @@ FederationReport Federation::run() {
       live_sessions += static_cast<long>(edge->sessions.size());
     }
     long active_users = 0;
-    for (const FleetUser& user : users_) {
-      if (user.watching && !user.battery.empty()) ++active_users;
+    for (const std::uint32_t id : live_) {
+      if (users_[id].active()) ++active_users;
     }
     report.peak_servers =
         std::max(report.peak_servers, static_cast<int>(live_servers));
 
+    counters_->slots.add(registry);
     if (registry != nullptr) {
-      registry->counter("fleet_slots_total", "Federation slots executed")
-          .add(1);
+      registry
+          ->histogram("lpvs_fleet_pre_serve_ms", serve_ms_buckets(),
+                      "Wall-clock pre-serve phases (arrivals, membership, "
+                      "crashes, mobility, reconcile) per federation slot")
+          .observe(pre_serve_ms);
       registry
           ->histogram("lpvs_fleet_slot_serve_ms", serve_ms_buckets(),
                       "Wall-clock serve phase per federation slot "
@@ -1012,13 +1039,9 @@ FederationReport Federation::run() {
       config_.slot_hook(slot, sim_time_ms);
     }
 
-    bool any_active = false;
-    for (const FleetUser& user : users_) {
-      if (user.watching && !user.battery.empty()) {
-        any_active = true;
-        break;
-      }
-    }
+    const bool any_active =
+        std::any_of(live_.begin(), live_.end(),
+                    [&](std::uint32_t id) { return users_[id].active(); });
     // A diurnal run keeps going through an empty trough: the arrival
     // process will refill the audience.
     if (!any_active && !config_.diurnal.enabled) break;

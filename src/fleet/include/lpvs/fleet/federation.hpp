@@ -129,7 +129,9 @@ struct FederationConfig : emu::ClusterParams {
   /// bit-exact failover regime).  0 disables checkpointing entirely
   /// (every crash is a full cold restart).
   int checkpoint_interval = 1;
-  /// Worker threads for the per-server phase; 0 = hardware concurrency.
+  /// Threads for the per-server serve and checkpoint phases, the calling
+  /// thread included (the pool holds threads - 1 workers); 0 = hardware
+  /// concurrency.
   unsigned threads = 1;
 
   std::vector<MembershipEvent> membership;
@@ -209,14 +211,17 @@ class Federation {
  private:
   struct EdgeServer;
   struct FleetUser;
+  struct Counters;
 
   void setup_users();
   void setup_servers();
   EdgeServer& server(std::uint64_t id);
   void spawn_arrivals(int slot, FederationReport& report);
   void handle_crashes(int slot, FederationReport& report);
-  void reconcile_placement(int slot, bool rebalancing,
-                           FederationReport& report);
+  void reconcile_placement(int slot, FederationReport& report);
+  /// Debug check: live_ ascends, and every user off it is unplaced and
+  /// inactive.
+  bool closed_users_stay_closed() const;
   void serve_slot(int slot, FederationReport& report,
                   double& anxiety_accumulator);
   void evaluate_autoscale(int slot, FederationReport& report);
@@ -230,10 +235,18 @@ class Federation {
   SessionHandoff handoff_;
   CheckpointStore checkpoints_;
   std::vector<FleetUser> users_;
+  /// Ids of the users not yet closed, ascending.  A user is closed once
+  /// they are inactive and unplaced, and that is for good (`watching`
+  /// never turns back on and batteries never recharge), so every per-slot
+  /// walk over the audience walks this list instead of users_.
+  std::vector<std::uint32_t> live_;
   std::map<std::uint64_t, std::unique_ptr<EdgeServer>> servers_;
   std::map<std::uint64_t, ServerReport> departed_;  ///< reports of left servers
-  /// Per-server phase workers, built once; null when threads == 1.
+  /// Per-server phase helpers (threads - 1 of them), built once; null
+  /// when the calling thread serves alone.
   std::unique_ptr<common::ThreadPool> pool_;
+  /// Registry counters, each looked up on its first event.
+  std::unique_ptr<Counters> counters_;
 
   /// Channel templates (genre, bitrate) the diurnal arrival process clones
   /// viewers from; captured once at setup from the trace.

@@ -53,12 +53,18 @@ class Placement {
   /// Current membership, sorted by id (deterministic iteration order).
   const std::vector<ServerInfo>& servers() const { return servers_; }
 
+  /// Membership generation: bumped by every add_server (a weight-only
+  /// update included) and by every remove_server that found its id.  A
+  /// place() result stays the winner while the generation is unchanged.
+  std::uint64_t generation() const { return generation_; }
+
   /// The rendezvous score of one (user, server) pair; exposed so tests can
   /// verify the winner really is the argmax.
   static double score(std::uint64_t user_key, const ServerInfo& server);
 
  private:
   std::vector<ServerInfo> servers_;  // sorted by id
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace lpvs::fleet

@@ -65,6 +65,7 @@ std::vector<std::uint64_t> Placement::place_all(
 
 void Placement::add_server(ServerInfo server) {
   assert(server.capacity_weight > 0.0);
+  ++generation_;
   const auto it =
       std::lower_bound(servers_.begin(), servers_.end(), server, id_less);
   if (it != servers_.end() && it->id == server.id) {
@@ -79,6 +80,7 @@ bool Placement::remove_server(std::uint64_t id) {
                                    ServerInfo{id, 1.0}, id_less);
   if (it == servers_.end() || it->id != id) return false;
   servers_.erase(it);
+  ++generation_;
   return true;
 }
 
