@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the end-to-end machinery: survey
 // extraction throughput, trace synthesis, one emulated slot at different
-// VC sizes, the signaling cost arithmetic, checkpoint codecs and the
-// fork-join the federation pays per phase.
+// VC sizes, the signaling cost arithmetic, checkpoint codecs, the
+// fork-join the federation pays per phase, and one member row's chunk
+// pricing and gamma.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <vector>
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/common/thread_pool.hpp"
 #include "lpvs/core/signaling.hpp"
+#include "lpvs/core/slot_kernel.hpp"
+#include "lpvs/display/display.hpp"
 #include "lpvs/emu/emulator.hpp"
 #include "lpvs/fleet/checkpoint.hpp"
 #include "lpvs/obs/event_trace.hpp"
@@ -16,6 +20,7 @@
 #include "lpvs/survey/lba_curve.hpp"
 #include "lpvs/survey/population.hpp"
 #include "lpvs/trace/trace.hpp"
+#include "lpvs/transform/transform.hpp"
 
 namespace {
 
@@ -187,6 +192,53 @@ void BM_ParallelForForkJoin(benchmark::State& state) {
   benchmark::DoNotOptimize(ran.load());
 }
 BENCHMARK(BM_ParallelForForkJoin)->Arg(1)->Arg(2)->UseRealTime();
+
+/// A federation member row: one slot's 6 chunks of slot-kernel content on
+/// the catalog's first LCD (range(0) = 0) or first OLED (1) panel.
+struct MemberRow {
+  explicit MemberRow(const benchmark::State& state) {
+    const auto& catalog = lpvs::display::DeviceCatalog::standard();
+    const auto wanted = state.range(0) == 0 ? lpvs::display::DisplayType::kLcd
+                                            : lpvs::display::DisplayType::kOled;
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+      if (catalog.at(i).spec.type == wanted) {
+        spec = catalog.at(i).spec;
+        break;
+      }
+    }
+    lpvs::core::slot_video_into(video, 1, 7, 3, lpvs::media::Genre::kMusic, 6,
+                                3.0, 10.0);
+    rates.resize(video.chunks.size());
+    lpvs::core::price_chunks(spec, video.chunks, rates);
+  }
+
+  lpvs::display::DisplaySpec spec;
+  lpvs::media::Video video;
+  std::vector<double> rates;
+};
+
+/// p(kappa) of one row's chunks: what assembly prices per member.
+void BM_PriceChunks(benchmark::State& state) {
+  MemberRow row(state);
+  for (auto _ : state) {
+    lpvs::core::price_chunks(row.spec, row.video.chunks, row.rates);
+    benchmark::DoNotOptimize(row.rates.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PriceChunks)->Arg(0)->Arg(1);
+
+/// The realized gamma of one row from its priced chunks: what playback
+/// computes per member.
+void BM_VideoGamma(benchmark::State& state) {
+  MemberRow row(state);
+  const lpvs::transform::TransformEngine engine;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.video_gamma(row.spec, row.video, row.rates));
+  }
+}
+BENCHMARK(BM_VideoGamma)->Arg(0)->Arg(1);
 
 }  // namespace
 

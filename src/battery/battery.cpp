@@ -10,11 +10,6 @@ Battery::Battery(common::MilliwattHours capacity, double initial_fraction)
   assert(capacity.value > 0.0);
 }
 
-double Battery::fraction() const {
-  if (capacity_.value <= 0.0) return 0.0;
-  return std::clamp(remaining_.value / capacity_.value, 0.0, 1.0);
-}
-
 common::MilliwattHours Battery::drain(common::Milliwatts power,
                                       common::Seconds duration) {
   return drain_energy(common::energy(power, duration));

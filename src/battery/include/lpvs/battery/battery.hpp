@@ -4,6 +4,7 @@
 // monotone non-increasing during playback.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 
 #include "lpvs/common/units.hpp"
@@ -22,7 +23,10 @@ class Battery {
   common::MilliwattHours capacity() const { return capacity_; }
 
   /// Battery level as a fraction in [0, 1] (the paper's energy status).
-  double fraction() const;
+  double fraction() const {
+    if (capacity_.value <= 0.0) return 0.0;
+    return std::clamp(remaining_.value / capacity_.value, 0.0, 1.0);
+  }
 
   /// Battery level as a percentage in [0, 100].
   double percent() const { return fraction() * 100.0; }

@@ -61,6 +61,14 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 
+/// The same, calling fn(i, runner): `runner` is 0 on the caller and h on
+/// the h-th helper task (1-based), so it lies in [0, pool.thread_count()]
+/// and no two threads of one call share it.  A caller can give each
+/// runner its own scratch and size it by threads, not by count.
+void parallel_for(
+    ThreadPool& pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& fn);
+
 /// The worker pool for parallel_for at `threads` total threads, the caller
 /// included (0 = hardware concurrency): threads - 1 workers, or null when
 /// that leaves none and the caller runs everything alone.

@@ -70,15 +70,17 @@ namespace {
 /// nothing to claim, never touches `fn`, and the caller need not wait for
 /// it.
 struct ForkJoin {
-  ForkJoin(std::size_t count, const std::function<void(std::size_t)>& fn)
+  ForkJoin(std::size_t count,
+           const std::function<void(std::size_t, std::size_t)>& fn)
       : count(count), fn(fn) {}
 
   /// Runs index `i`, already claimed, then claims and runs more until none
-  /// are left; the run that finishes the last index wakes the caller.
-  void run_from(std::size_t i) {
+  /// are left, all as `runner`; the run that finishes the last index wakes
+  /// the caller.
+  void run_from(std::size_t i, std::size_t runner) {
     std::size_t ran = 0;
     for (; i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
+      fn(i, runner);
       ++ran;
     }
     if (ran > 0 &&
@@ -89,7 +91,7 @@ struct ForkJoin {
   }
 
   const std::size_t count;
-  const std::function<void(std::size_t)>& fn;
+  const std::function<void(std::size_t, std::size_t)>& fn;
   std::atomic<std::size_t> next{1};  ///< index 0 is the caller's
   std::atomic<std::size_t> done{0};
   std::mutex mutex;
@@ -100,15 +102,21 @@ struct ForkJoin {
 
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
+  parallel_for(pool, count, [&fn](std::size_t i, std::size_t) { fn(i); });
+}
+
+void parallel_for(
+    ThreadPool& pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   const auto join = std::make_shared<ForkJoin>(count, fn);
   const std::size_t helpers = std::min(pool.thread_count(), count - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([join] {
-      join->run_from(join->next.fetch_add(1, std::memory_order_relaxed));
+  for (std::size_t h = 1; h <= helpers; ++h) {
+    pool.submit([join, h] {
+      join->run_from(join->next.fetch_add(1, std::memory_order_relaxed), h);
     });
   }
-  join->run_from(0);
+  join->run_from(0, 0);
   std::unique_lock<std::mutex> lock(join->mutex);
   join->finished.wait(lock, [&] {
     return join->done.load(std::memory_order_acquire) == count;

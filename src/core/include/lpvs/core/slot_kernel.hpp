@@ -7,11 +7,14 @@
 // core::ClusterSlot is the one cluster-slot step of the daemon and the
 // federation: it assembles a cluster's slot problem from member rows with
 // these functions, calls the scheduler, and checks the schedule against
-// the capacity rows (6)/(7).  What really differs between callers stays
-// with them: a row's battery energy, capacity and gamma (the battery
-// object, a reported or a device-side fraction, the GammaMode), the solve
-// context (slot, cache, deadline, forced rung), and what happens to the
-// schedule (frames on the wire, or playback and the gamma observation).
+// the capacity rows (6)/(7).  The daemon's worker keeps one step for its
+// lifetime and the federation one per fork-join runner, so in steady state
+// a cluster-slot allocates no rows, videos or pricing scratch.  What
+// really differs between callers stays with them: a row's battery energy,
+// capacity and gamma (the battery object, a reported or a device-side
+// fraction, the GammaMode), the solve context (slot, cache, deadline,
+// forced rung), and what happens to the schedule (frames on the wire, or
+// playback and the gamma observation).
 // The emulator calls the functions directly, because its one-slot-ahead
 // prediction, CDN-published videos and partial-window pricing would make
 // the step branch on its caller.
@@ -43,7 +46,9 @@ void slot_video_into(media::Video& out, std::uint64_t seed,
                      media::Genre genre, int chunks, double bitrate_mbps,
                      double chunk_s);
 
-/// Prices each chunk once: rates[k] = p(chunks[k]) on `spec`, in mW.
+/// Prices each chunk once: rates[k] = p(chunks[k]) on `spec`, in mW.  The
+/// panel's content-independent terms (display::DevicePowerModel::Panel) are
+/// computed once per call, not per chunk; the rates are bit-identical.
 void price_chunks(const display::DisplaySpec& spec,
                   std::span<const media::VideoChunk> chunks,
                   std::span<double> rates);
@@ -121,7 +126,9 @@ struct CheckedSchedule {
 };
 
 /// One slot of one virtual cluster, assembled, solved and checked.  A step
-/// kept across slots reuses its problem, videos and pricing scratch.
+/// kept across slots, or across clusters of different sizes, reuses its
+/// rows, videos and pricing scratch: once it has seen its largest cluster,
+/// assemble() allocates nothing.
 class ClusterSlot {
  public:
   /// Sets C, S and lambda from `config` and fills row i from members[i]:
@@ -143,7 +150,8 @@ class ClusterSlot {
 
  private:
   SlotProblem problem_;
-  std::vector<media::Video> videos_;
+  std::vector<DeviceSlotInput> spare_rows_;  ///< rows past the last size
+  std::vector<media::Video> videos_;         ///< at least the last size
   std::vector<double> rates_;
 };
 

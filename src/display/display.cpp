@@ -12,17 +12,6 @@ std::string to_string(DisplayType type) {
   return type == DisplayType::kLcd ? "LCD" : "OLED";
 }
 
-FrameStats FrameStats::clamped() const {
-  FrameStats out = *this;
-  out.mean_luminance = std::clamp(out.mean_luminance, 0.0, 1.0);
-  out.mean_r = std::clamp(out.mean_r, 0.0, 1.0);
-  out.mean_g = std::clamp(out.mean_g, 0.0, 1.0);
-  out.mean_b = std::clamp(out.mean_b, 0.0, 1.0);
-  out.peak_luminance =
-      std::clamp(out.peak_luminance, out.mean_luminance, 1.0);
-  return out;
-}
-
 double DisplaySpec::area_sq_inches() const {
   assert(width_px > 0 && height_px > 0);
   const double aspect =
@@ -33,39 +22,32 @@ double DisplaySpec::area_sq_inches() const {
 
 common::Milliwatts LcdPowerModel::power(const DisplaySpec& spec,
                                         double backlight_level) const {
-  backlight_level = std::clamp(backlight_level, 0.0, 1.0);
-  const double area = spec.area_sq_inches();
-  const double backlight =
-      (coefficients_.backlight_floor_mw_per_sq_in +
-       coefficients_.backlight_range_mw_per_sq_in * backlight_level) *
-      area;
-  const double panel = coefficients_.panel_mw_per_sq_in * area;
-  return {backlight + panel};
+  return {power_mw(spec.area_sq_inches(), backlight_level)};
 }
 
 common::Milliwatts OledPowerModel::power(const DisplaySpec& spec,
                                          const FrameStats& stats) const {
-  const FrameStats s = stats.clamped();
-  const double weighted = coefficients_.red_weight * s.mean_r +
-                          coefficients_.green_weight * s.mean_g +
-                          coefficients_.blue_weight * s.mean_b;
-  const double megapixels =
-      static_cast<double>(spec.pixel_count()) / 1.0e6;
-  const double emission = coefficients_.mw_per_megapixel_unit * megapixels *
-                          std::clamp(spec.brightness, 0.0, 1.0) * weighted;
-  const double static_power =
-      coefficients_.static_mw_per_sq_in * spec.area_sq_inches();
-  return {emission + static_power};
+  return {power_mw(emission_factor(spec), static_mw(spec.area_sq_inches()),
+                   stats)};
+}
+
+DevicePowerModel::Panel DevicePowerModel::panel(
+    const DisplaySpec& spec) const {
+  Panel panel;
+  panel.type = spec.type;
+  panel.area_sq_in = spec.area_sq_inches();
+  if (spec.type == DisplayType::kLcd) {
+    panel.lcd_mw = lcd_.power_mw(panel.area_sq_in, spec.brightness);
+  } else {
+    panel.emission_factor = oled_.emission_factor(spec);
+    panel.static_mw = oled_.static_mw(panel.area_sq_in);
+  }
+  return panel;
 }
 
 common::Milliwatts DevicePowerModel::display_power(
     const DisplaySpec& spec, const FrameStats& stats) const {
-  if (spec.type == DisplayType::kLcd) {
-    // Without a content-adaptive transform, the backlight tracks the user's
-    // brightness setting regardless of content.
-    return lcd_.power(spec, spec.brightness);
-  }
-  return oled_.power(spec, stats);
+  return {display_mw(panel(spec), stats)};
 }
 
 common::Milliwatts DevicePowerModel::playback_power(
@@ -74,21 +56,15 @@ common::Milliwatts DevicePowerModel::playback_power(
   return breakdown(spec, stats, bitrate_mbps).total();
 }
 
-double DevicePowerModel::Breakdown::display_fraction() const {
-  const double t = total().value;
-  return t > 0.0 ? display.value / t : 0.0;
-}
-
 DevicePowerModel::Breakdown DevicePowerModel::breakdown(
     const DisplaySpec& spec, const FrameStats& stats,
     double bitrate_mbps) const {
-  bitrate_mbps = std::max(bitrate_mbps, 0.0);
-  Breakdown split;
-  split.display = display_power(spec, stats);
-  split.cpu = {rest_.cpu_decode_mw + rest_.cpu_per_mbps_mw * bitrate_mbps};
-  split.radio = {rest_.radio_mw + rest_.radio_per_mbps_mw * bitrate_mbps};
-  split.base = {rest_.base_mw};
-  return split;
+  return breakdown(panel(spec), stats, bitrate_mbps);
+}
+
+double DevicePowerModel::Breakdown::display_fraction() const {
+  const double t = total().value;
+  return t > 0.0 ? display.value / t : 0.0;
 }
 
 DeviceCatalog::DeviceCatalog(std::vector<Profile> profiles)

@@ -13,6 +13,7 @@
 // below (see DESIGN.md substitution table).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,7 +39,16 @@ struct FrameStats {
   double peak_luminance = 0.9;
 
   /// Clamps every field into its valid range.
-  FrameStats clamped() const;
+  FrameStats clamped() const {
+    FrameStats out = *this;
+    out.mean_luminance = std::clamp(out.mean_luminance, 0.0, 1.0);
+    out.mean_r = std::clamp(out.mean_r, 0.0, 1.0);
+    out.mean_g = std::clamp(out.mean_g, 0.0, 1.0);
+    out.mean_b = std::clamp(out.mean_b, 0.0, 1.0);
+    out.peak_luminance =
+        std::clamp(out.peak_luminance, out.mean_luminance, 1.0);
+    return out;
+  }
 };
 
 /// Physical description of one phone's panel.
@@ -76,6 +86,18 @@ class LcdPowerModel {
   common::Milliwatts power(const DisplaySpec& spec,
                            double backlight_level) const;
 
+  /// power() on a panel of `area_sq_in` square inches, for callers that
+  /// compute the area once per panel.
+  double power_mw(double area_sq_in, double backlight_level) const {
+    backlight_level = std::clamp(backlight_level, 0.0, 1.0);
+    const double backlight =
+        (coefficients_.backlight_floor_mw_per_sq_in +
+         coefficients_.backlight_range_mw_per_sq_in * backlight_level) *
+        area_sq_in;
+    const double panel = coefficients_.panel_mw_per_sq_in * area_sq_in;
+    return backlight + panel;
+  }
+
   const Coefficients& coefficients() const { return coefficients_; }
 
  private:
@@ -105,6 +127,31 @@ class OledPowerModel {
   common::Milliwatts power(const DisplaySpec& spec,
                            const FrameStats& stats) const;
 
+  /// The content-independent factor of the emission term:
+  /// (coefficient * megapixels) * brightness, brightness clamped to [0, 1].
+  double emission_factor(const DisplaySpec& spec) const {
+    const double megapixels =
+        static_cast<double>(spec.pixel_count()) / 1.0e6;
+    return coefficients_.mw_per_megapixel_unit * megapixels *
+           std::clamp(spec.brightness, 0.0, 1.0);
+  }
+
+  /// The static term on a panel of `area_sq_in` square inches.
+  double static_mw(double area_sq_in) const {
+    return coefficients_.static_mw_per_sq_in * area_sq_in;
+  }
+
+  /// power() from a panel's emission factor and static term, for callers
+  /// that compute both once per panel.
+  double power_mw(double emission_factor, double static_mw,
+                  const FrameStats& stats) const {
+    const FrameStats s = stats.clamped();
+    const double weighted = coefficients_.red_weight * s.mean_r +
+                            coefficients_.green_weight * s.mean_g +
+                            coefficients_.blue_weight * s.mean_b;
+    return emission_factor * weighted + static_mw;
+  }
+
   const Coefficients& coefficients() const { return coefficients_; }
 
  private:
@@ -131,14 +178,17 @@ class DevicePowerModel {
                    NonDisplayCoefficients rest)
       : lcd_(lcd), oled_(oled), rest_(rest) {}
 
-  /// Display-only power for this content.
-  common::Milliwatts display_power(const DisplaySpec& spec,
-                                   const FrameStats& stats) const;
-
-  /// Total device power while streaming this content at `bitrate_mbps`.
-  common::Milliwatts playback_power(const DisplaySpec& spec,
-                                    const FrameStats& stats,
-                                    double bitrate_mbps) const;
+  /// A panel's content-independent power terms.  A slot prices every
+  /// chunk on the same panel (SIV-B), so callers compute these once per
+  /// spec; pricing from them is bit-identical to pricing from the spec.
+  struct Panel {
+    DisplayType type = DisplayType::kOled;
+    double area_sq_in = 0.0;
+    double lcd_mw = 0.0;  ///< LCD: panel power at the user's brightness
+    double emission_factor = 0.0;  ///< OLED: see OledPowerModel
+    double static_mw = 0.0;        ///< OLED: static term
+  };
+  Panel panel(const DisplaySpec& spec) const;
 
   /// Per-component split for Fig. 1.
   struct Breakdown {
@@ -151,8 +201,40 @@ class DevicePowerModel {
     }
     double display_fraction() const;
   };
+
+  /// Display-only power for this content.
+  common::Milliwatts display_power(const DisplaySpec& spec,
+                                   const FrameStats& stats) const;
+  double display_mw(const Panel& panel, const FrameStats& stats) const {
+    // Without a content-adaptive transform, an LCD backlight tracks the
+    // user's brightness setting regardless of content.
+    return panel.type == DisplayType::kLcd
+               ? panel.lcd_mw
+               : oled_.power_mw(panel.emission_factor, panel.static_mw,
+                                stats);
+  }
+
+  /// Total device power while streaming this content at `bitrate_mbps`.
+  common::Milliwatts playback_power(const DisplaySpec& spec,
+                                    const FrameStats& stats,
+                                    double bitrate_mbps) const;
+  double playback_mw(const Panel& panel, const FrameStats& stats,
+                     double bitrate_mbps) const {
+    return breakdown(panel, stats, bitrate_mbps).total().value;
+  }
+
   Breakdown breakdown(const DisplaySpec& spec, const FrameStats& stats,
                       double bitrate_mbps) const;
+  Breakdown breakdown(const Panel& panel, const FrameStats& stats,
+                      double bitrate_mbps) const {
+    bitrate_mbps = std::max(bitrate_mbps, 0.0);
+    Breakdown split;
+    split.display = {display_mw(panel, stats)};
+    split.cpu = {rest_.cpu_decode_mw + rest_.cpu_per_mbps_mw * bitrate_mbps};
+    split.radio = {rest_.radio_mw + rest_.radio_per_mbps_mw * bitrate_mbps};
+    split.base = {rest_.base_mw};
+    return split;
+  }
 
   const LcdPowerModel& lcd() const { return lcd_; }
   const OledPowerModel& oled() const { return oled_; }

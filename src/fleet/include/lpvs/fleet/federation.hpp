@@ -212,6 +212,7 @@ class Federation {
   struct EdgeServer;
   struct FleetUser;
   struct Counters;
+  struct ServeScratch;
 
   void setup_users();
   void setup_servers();
@@ -245,6 +246,9 @@ class Federation {
   /// Per-server phase helpers (threads - 1 of them), built once; null
   /// when the calling thread serves alone.
   std::unique_ptr<common::ThreadPool> pool_;
+  /// The serve phase's scratch, one per runner (the caller and each
+  /// helper), indexed by parallel_for's runner id.
+  std::vector<ServeScratch> serve_scratch_;
   /// Registry counters, each looked up on its first event.
   std::unique_ptr<Counters> counters_;
 

@@ -67,10 +67,11 @@ void ContentGenerator::generate_into(Video& video, common::VideoId id,
   // AR(1) walk of the scene luminance around the genre mean.
   double luminance = rng_.truncated_normal(p.luminance_mean,
                                            p.luminance_spread, 0.02, 0.98);
+  const double innovation_std =
+      p.luminance_spread *
+      std::sqrt(1.0 - p.scene_persistence * p.scene_persistence);
   for (int k = 0; k < chunk_count; ++k) {
-    const double innovation =
-        rng_.normal(0.0, p.luminance_spread * std::sqrt(1.0 - p.scene_persistence *
-                                                                  p.scene_persistence));
+    const double innovation = rng_.normal(0.0, innovation_std);
     luminance = p.luminance_mean +
                 p.scene_persistence * (luminance - p.luminance_mean) +
                 innovation;

@@ -67,6 +67,10 @@ class BacklightScaling {
   ChunkTransform apply(const display::DisplaySpec& spec,
                        const display::FrameStats& stats) const;
 
+  /// The scaled backlight level for clamped content `s`.
+  double backlight_level(const display::DisplaySpec& spec,
+                         const display::FrameStats& s) const;
+
  private:
   display::LcdPowerModel model_;
   QualityBudget budget_;
@@ -81,6 +85,10 @@ class OledColorTransform {
 
   ChunkTransform apply(const display::DisplaySpec& spec,
                        const display::FrameStats& stats) const;
+
+  /// Clamped content `s` after the transform, before clamping (the
+  /// distortion proxy reads the unclamped channel means).
+  display::FrameStats transformed(const display::FrameStats& s) const;
 
  private:
   display::OledPowerModel model_;
@@ -119,6 +127,11 @@ class TransformEngine {
   const QualityBudget& budget() const { return budget_; }
 
  private:
+  template <typename PlaybackMw>
+  double weighted_video_gamma(const display::DisplaySpec& spec,
+                              const media::Video& video,
+                              PlaybackMw playback_mw) const;
+
   display::DevicePowerModel device_model_;
   QualityBudget budget_;
 };

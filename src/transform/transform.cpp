@@ -6,16 +6,21 @@
 
 namespace lpvs::transform {
 
-ChunkTransform BacklightScaling::apply(
-    const display::DisplaySpec& spec,
-    const display::FrameStats& stats) const {
-  const display::FrameStats s = stats.clamped();
+double BacklightScaling::backlight_level(
+    const display::DisplaySpec& spec, const display::FrameStats& s) const {
   // Target backlight: cover peak_coverage of the content's peak luminance,
   // never below the floor and never above the user's current setting.
   const double wanted = s.peak_luminance * budget_.peak_coverage;
   const double floor = budget_.min_backlight_fraction * spec.brightness;
-  const double scaled =
-      std::clamp(wanted, std::min(floor, spec.brightness), spec.brightness);
+  return std::clamp(wanted, std::min(floor, spec.brightness),
+                    spec.brightness);
+}
+
+ChunkTransform BacklightScaling::apply(
+    const display::DisplaySpec& spec,
+    const display::FrameStats& stats) const {
+  const display::FrameStats s = stats.clamped();
+  const double scaled = backlight_level(spec, s);
 
   ChunkTransform out;
   out.backlight_level = scaled;
@@ -34,11 +39,8 @@ ChunkTransform BacklightScaling::apply(
   return out;
 }
 
-ChunkTransform OledColorTransform::apply(
-    const display::DisplaySpec& spec,
-    const display::FrameStats& stats) const {
-  const display::FrameStats s = stats.clamped();
-  ChunkTransform out;
+display::FrameStats OledColorTransform::transformed(
+    const display::FrameStats& s) const {
   display::FrameStats t = s;
   t.mean_r = s.mean_r * budget_.darken * budget_.red_scale;
   t.mean_g = s.mean_g * budget_.darken;
@@ -47,6 +49,15 @@ ChunkTransform OledColorTransform::apply(
   t.mean_luminance =
       0.2126 * t.mean_r + 0.7152 * t.mean_g + 0.0722 * t.mean_b;
   t.peak_luminance = s.peak_luminance * budget_.darken;
+  return t;
+}
+
+ChunkTransform OledColorTransform::apply(
+    const display::DisplaySpec& spec,
+    const display::FrameStats& stats) const {
+  const display::FrameStats s = stats.clamped();
+  ChunkTransform out;
+  const display::FrameStats t = transformed(s);
   out.transformed_stats = t.clamped();
   out.display_power_before = model_.power(spec, s);
   out.display_power_after = model_.power(spec, out.transformed_stats);
@@ -85,47 +96,60 @@ double TransformEngine::chunk_gamma(const display::DisplaySpec& spec,
   return std::clamp(saved / total, 0.0, 1.0);
 }
 
-namespace {
-
 /// Energy-weighted average: gamma over a slot is total energy saved over
-/// total energy that would have been drawn untransformed.  `playback_mw(k)`
-/// is chunk k's untransformed playback power.
+/// total energy that would have been drawn untransformed.
+/// `playback_mw(panel, k)` is chunk k's untransformed playback power.  Each
+/// chunk's display powers before and after its transform are priced from
+/// the panel's terms, as transform_chunk's would be, without building the
+/// rest of the ChunkTransform.
 template <typename PlaybackMw>
-double weighted_video_gamma(const TransformEngine& engine,
-                            const display::DisplaySpec& spec,
-                            const media::Video& video,
-                            PlaybackMw playback_mw) {
+double TransformEngine::weighted_video_gamma(const display::DisplaySpec& spec,
+                                             const media::Video& video,
+                                             PlaybackMw playback_mw) const {
+  const display::DevicePowerModel::Panel panel = device_model_.panel(spec);
+  const display::LcdPowerModel& lcd = device_model_.lcd();
+  const display::OledPowerModel& oled = device_model_.oled();
+  const BacklightScaling backlight(lcd, budget_);
+  const OledColorTransform color(oled, budget_);
   double saved_mwh = 0.0;
   double base_mwh = 0.0;
   for (std::size_t k = 0; k < video.chunks.size(); ++k) {
     const media::VideoChunk& chunk = video.chunks[k];
-    const double total = playback_mw(k);
-    const ChunkTransform result = engine.transform_chunk(spec, chunk);
-    const double saved = result.display_power_before.value -
-                         result.display_power_after.value;
+    const double total = playback_mw(panel, k);
+    const display::FrameStats s = chunk.stats.clamped();
+    const double saved =
+        panel.type == display::DisplayType::kLcd
+            ? panel.lcd_mw - lcd.power_mw(panel.area_sq_in,
+                                          backlight.backlight_level(spec, s))
+            : oled.power_mw(panel.emission_factor, panel.static_mw, s) -
+                  oled.power_mw(panel.emission_factor, panel.static_mw,
+                                color.transformed(s));
     base_mwh += total * chunk.duration.value;
     saved_mwh += saved * chunk.duration.value;
   }
   return base_mwh > 0.0 ? std::clamp(saved_mwh / base_mwh, 0.0, 1.0) : 0.0;
 }
 
-}  // namespace
-
 double TransformEngine::video_gamma(const display::DisplaySpec& spec,
                                     const media::Video& video) const {
-  return weighted_video_gamma(*this, spec, video, [&](std::size_t k) {
-    const media::VideoChunk& chunk = video.chunks[k];
-    return device_model_.playback_power(spec, chunk.stats, chunk.bitrate_mbps)
-        .value;
-  });
+  return weighted_video_gamma(
+      spec, video,
+      [&](const display::DevicePowerModel::Panel& panel, std::size_t k) {
+        const media::VideoChunk& chunk = video.chunks[k];
+        return device_model_.playback_mw(panel, chunk.stats,
+                                         chunk.bitrate_mbps);
+      });
 }
 
 double TransformEngine::video_gamma(const display::DisplaySpec& spec,
                                     const media::Video& video,
                                     std::span<const double> playback_mw) const {
   assert(playback_mw.size() >= video.chunks.size());
-  return weighted_video_gamma(*this, spec, video,
-                              [&](std::size_t k) { return playback_mw[k]; });
+  return weighted_video_gamma(
+      spec, video,
+      [&](const display::DevicePowerModel::Panel&, std::size_t k) {
+        return playback_mw[k];
+      });
 }
 
 StrategyRegistry::StrategyRegistry(std::vector<StrategyEntry> entries)

@@ -3,7 +3,10 @@
 // exact algebraic properties against forward simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -272,6 +275,94 @@ TEST(SlotKernel, RowTakesTheKnownPrefix) {
   EXPECT_GT(row.storage_cost, 0.0);
 }
 
+/// p(kappa) as the power models priced each chunk before a panel's terms
+/// were computed once: every term from the spec, in the same evaluation
+/// order ((c * mp) * b) * w, (r + g) + b and ((display + cpu) + radio) + base.
+double per_chunk_rate_mw(const display::DisplaySpec& spec,
+                         const media::VideoChunk& chunk) {
+  const display::DevicePowerModel model;
+  const double area = spec.area_sq_inches();
+  double display_mw = 0.0;
+  if (spec.type == display::DisplayType::kLcd) {
+    const display::LcdPowerModel::Coefficients& c =
+        model.lcd().coefficients();
+    const double level = std::clamp(spec.brightness, 0.0, 1.0);
+    const double backlight = (c.backlight_floor_mw_per_sq_in +
+                              c.backlight_range_mw_per_sq_in * level) *
+                             area;
+    display_mw = backlight + c.panel_mw_per_sq_in * area;
+  } else {
+    const display::OledPowerModel::Coefficients& c =
+        model.oled().coefficients();
+    const double r = std::clamp(chunk.stats.mean_r, 0.0, 1.0);
+    const double g = std::clamp(chunk.stats.mean_g, 0.0, 1.0);
+    const double b = std::clamp(chunk.stats.mean_b, 0.0, 1.0);
+    const double weighted =
+        c.red_weight * r + c.green_weight * g + c.blue_weight * b;
+    const double megapixels =
+        static_cast<double>(spec.pixel_count()) / 1.0e6;
+    const double emission = c.mw_per_megapixel_unit * megapixels *
+                            std::clamp(spec.brightness, 0.0, 1.0) * weighted;
+    display_mw = emission + c.static_mw_per_sq_in * area;
+  }
+  const display::DevicePowerModel::NonDisplayCoefficients& rest =
+      model.rest();
+  const double bitrate = std::max(chunk.bitrate_mbps, 0.0);
+  return display_mw + (rest.cpu_decode_mw + rest.cpu_per_mbps_mw * bitrate) +
+         (rest.radio_mw + rest.radio_per_mbps_mw * bitrate) + rest.base_mw;
+}
+
+TEST(SlotKernel, PanelPricingIsBitIdenticalToThePerChunkFormulas) {
+  std::vector<media::VideoChunk> chunks;
+  for (int g = 0; g < media::kGenreCount; ++g) {
+    media::Video video;
+    slot_video_into(video, 5, static_cast<std::uint64_t>(g), 3,
+                    static_cast<media::Genre>(g), 30, 1.5 + g, 10.0);
+    chunks.insert(chunks.end(), video.chunks.begin(), video.chunks.end());
+  }
+  // Hand-made stats outside the valid ranges: negative channels, values
+  // above 1, peak below mean; one chunk at a negative bitrate.
+  const display::FrameStats odd[] = {
+      {-0.2, -0.1, 0.3, -0.05, 0.4},
+      {1.3, 1.2, 1.5, 0.9, 1.8},
+      {0.7, 0.6, 0.8, 0.7, 0.2},
+      {0.5, 0.4, -0.3, 1.4, -0.1},
+  };
+  for (std::size_t i = 0; i < std::size(odd); ++i) {
+    media::VideoChunk chunk;
+    chunk.stats = odd[i];
+    chunk.bitrate_mbps = i == 0 ? -1.0 : 4.0;
+    chunks.push_back(chunk);
+  }
+
+  std::vector<display::DisplaySpec> specs = {
+      {display::DisplayType::kLcd, 5.0, 720, 1280, 400.0, 1.2},
+      {display::DisplayType::kOled, 6.0, 1440, 3200, 800.0, 1.2},
+      {display::DisplayType::kOled, 6.0, 1440, 3200, 800.0, -0.1}};
+  const display::DeviceCatalog& catalog = display::DeviceCatalog::standard();
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    specs.push_back(catalog.at(i).spec);
+  }
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const display::DevicePowerModel model;
+  const media::PowerRateEstimator estimator;
+  std::vector<double> rates(chunks.size());
+  for (const display::DisplaySpec& spec : specs) {
+    price_chunks(spec, chunks, rates);
+    for (std::size_t k = 0; k < chunks.size(); ++k) {
+      const media::VideoChunk& chunk = chunks[k];
+      const std::uint64_t want = bits(per_chunk_rate_mw(spec, chunk));
+      EXPECT_EQ(bits(rates[k]), want) << "chunk " << k;
+      EXPECT_EQ(bits(estimator.rate(spec, chunk).value), want);
+      EXPECT_EQ(bits(model.playback_power(spec, chunk.stats,
+                                          chunk.bitrate_mbps)
+                         .value),
+                want);
+    }
+  }
+}
+
 struct Played {
   PlaybackEnd end;
   long samples = 0;
@@ -451,6 +542,70 @@ TEST(SlotKernel, ClusterSlotLeavesNoStaleRowOrVideo) {
   Schedule stale;
   stale.x.assign(5, 0);
   EXPECT_FALSE(within_capacity(reused.problem(), stale));
+}
+
+TEST(SlotKernel, ClusterSlotReusedAcrossSizesEqualsAFreshStep) {
+  // One step serves clusters of 5, then 2, then 7 members, as a
+  // federation runner does: spare rows and videos come back with their
+  // buffers, and every row and video equals a fresh step's.
+  ClusterSlot reused;
+  const auto& catalog = display::DeviceCatalog::standard();
+  const std::size_t sizes[] = {5, 2, 7};
+  for (std::size_t round = 0; round < 3; ++round) {
+    // Row i differs in every field from row i of the earlier rounds, so a
+    // field a reused row kept would show.
+    std::vector<SlotMember> members =
+        step_members(sizes[round], 10 * round + 1);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      SlotMember& member = members[i];
+      const double r = static_cast<double>(round);
+      member.spec = &catalog.at((i + round) % catalog.size()).spec;
+      member.genre =
+          static_cast<media::Genre>((i + round) % media::kGenreCount);
+      member.bitrate_mbps += 0.5 * r;
+      member.energy_mwh += 7.0 * r;
+      member.capacity_mwh += 11.0 * r;
+      member.gamma += 0.01 * r;
+    }
+    const std::uint64_t slot = 20 + round;
+    reused.assemble(step_config(), slot, members);
+    ClusterSlot fresh;
+    fresh.assemble(step_config(), slot, members);
+
+    ASSERT_EQ(reused.problem().devices.size(), members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const DeviceSlotInput& row = reused.problem().devices[i];
+      const DeviceSlotInput& want = fresh.problem().devices[i];
+      EXPECT_EQ(row.id.value, want.id.value);
+      EXPECT_EQ(row.power_rates_mw, want.power_rates_mw);
+      EXPECT_EQ(row.chunk_durations_s, want.chunk_durations_s);
+      EXPECT_EQ(row.initial_energy_mwh, want.initial_energy_mwh);
+      EXPECT_EQ(row.battery_capacity_mwh, want.battery_capacity_mwh);
+      EXPECT_EQ(row.gamma, want.gamma);
+      EXPECT_EQ(row.compute_cost, want.compute_cost);
+      EXPECT_EQ(row.storage_cost, want.storage_cost);
+      EXPECT_EQ(row.sla_weight, want.sla_weight);
+
+      const media::Video& video = reused.video(i);
+      const media::Video& want_video = fresh.video(i);
+      EXPECT_EQ(video.id.value, want_video.id.value);
+      EXPECT_EQ(video.genre, want_video.genre);
+      EXPECT_EQ(video.bitrate_mbps, want_video.bitrate_mbps);
+      ASSERT_EQ(video.chunks.size(), want_video.chunks.size());
+      for (std::size_t k = 0; k < video.chunks.size(); ++k) {
+        const media::VideoChunk& a = video.chunks[k];
+        const media::VideoChunk& b = want_video.chunks[k];
+        EXPECT_EQ(a.id.value, b.id.value);
+        EXPECT_EQ(a.duration.value, b.duration.value);
+        EXPECT_EQ(a.bitrate_mbps, b.bitrate_mbps);
+        EXPECT_EQ(a.stats.mean_luminance, b.stats.mean_luminance);
+        EXPECT_EQ(a.stats.mean_r, b.stats.mean_r);
+        EXPECT_EQ(a.stats.mean_g, b.stats.mean_g);
+        EXPECT_EQ(a.stats.mean_b, b.stats.mean_b);
+        EXPECT_EQ(a.stats.peak_luminance, b.stats.peak_luminance);
+      }
+    }
+  }
 }
 
 TEST(SlotKernel, CapacityCheckArithmetic) {

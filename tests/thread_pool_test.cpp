@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -144,6 +145,39 @@ TEST(ParallelFor, CallerAndWorkersRunEachIndexOnce) {
     }
     EXPECT_GE(on_caller.load(), 1) << "wave " << wave;
   }
+}
+
+TEST(ParallelFor, EachRunnerIdIsOneThreadAtATime) {
+  // Callers keep one scratch per runner id, so an id must never be in use
+  // on two threads at once: the caller is runner 0, the helpers 1..workers.
+  ThreadPool pool(3);
+  const std::size_t helpers = pool.thread_count();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<bool>> in_use(helpers + 1);
+  std::atomic<int> out_of_range{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> caller_mismatches{0};
+  std::atomic<int> helper_runs{0};
+  for (int wave = 0; wave < 20; ++wave) {
+    parallel_for(pool, 64, [&](std::size_t, std::size_t runner) {
+      if (runner > helpers) {
+        out_of_range.fetch_add(1);
+        return;
+      }
+      if (in_use[runner].exchange(true)) overlaps.fetch_add(1);
+      if ((runner == 0) != (std::this_thread::get_id() == caller)) {
+        caller_mismatches.fetch_add(1);
+      }
+      if (runner != 0) helper_runs.fetch_add(1);
+      // Hold the id long enough for the other runners to overlap.
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      in_use[runner].store(false);
+    });
+  }
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(caller_mismatches.load(), 0);
+  EXPECT_GT(helper_runs.load(), 0);
 }
 
 TEST(HelperPool, LeavesOneThreadToTheCaller) {

@@ -2,6 +2,7 @@
 // the realized gamma bands, the Table I registry, and edge resource costs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -207,28 +208,84 @@ TEST(TransformEngine, VideoGammaIsEnergyWeightedChunkGamma) {
   EXPECT_NEAR(engine.video_gamma(oled_spec(), video), saved / base, 1e-9);
 }
 
+/// Gamma as it was computed before the panel terms were hoisted: a full
+/// ChunkTransform per chunk, its two display powers, and the playback
+/// power priced from the spec.
+double reference_video_gamma(const TransformEngine& engine,
+                             const display::DevicePowerModel& model,
+                             const display::DisplaySpec& spec,
+                             const media::Video& video) {
+  double saved_mwh = 0.0;
+  double base_mwh = 0.0;
+  for (const media::VideoChunk& chunk : video.chunks) {
+    const double total =
+        model.playback_power(spec, chunk.stats, chunk.bitrate_mbps).value;
+    const ChunkTransform result = engine.transform_chunk(spec, chunk);
+    const double saved = result.display_power_before.value -
+                         result.display_power_after.value;
+    base_mwh += total * chunk.duration.value;
+    saved_mwh += saved * chunk.duration.value;
+  }
+  return base_mwh > 0.0 ? std::clamp(saved_mwh / base_mwh, 0.0, 1.0) : 0.0;
+}
+
+/// Chunks whose stats leave the valid ranges: negative channels, values
+/// above 1, peak below mean.
+media::Video out_of_range_video() {
+  media::Video video;
+  const display::FrameStats stats[] = {
+      {-0.2, -0.1, 0.3, -0.05, 0.4},
+      {1.3, 1.2, 1.5, 0.9, 1.8},
+      {0.7, 0.6, 0.8, 0.7, 0.2},
+      {0.5, 0.4, -0.3, 1.4, -0.1},
+  };
+  for (const display::FrameStats& s : stats) {
+    media::VideoChunk chunk;
+    chunk.stats = s;
+    chunk.bitrate_mbps = 2.5;
+    chunk.duration = common::Seconds{10.0};
+    video.chunks.push_back(chunk);
+  }
+  return video;
+}
+
 TEST(TransformEngine, PricedVideoGammaIsBitIdentical) {
-  // The priced overload must do the same sums in the same order as the
-  // form that prices every chunk itself.
+  // Both overloads must do the sums of the per-chunk ChunkTransform form in
+  // the same order, from panel terms computed once, on every catalog panel.
   const display::DevicePowerModel model;
   const TransformEngine engine(model);
   const media::PowerRateEstimator estimator(model);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<media::Video> videos = {out_of_range_video()};
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     media::ContentGenerator generator(seed);
     for (int g = 0; g < media::kGenreCount; ++g) {
-      const media::Video video = generator.generate(
+      videos.push_back(generator.generate(
           common::VideoId{static_cast<std::uint32_t>(g)},
-          static_cast<media::Genre>(g), 30, 1.8 + 0.7 * g);
-      for (const display::DisplaySpec& spec : {lcd_spec(), oled_spec()}) {
-        std::vector<double> rates;
-        for (const media::VideoChunk& chunk : video.chunks) {
-          rates.push_back(estimator.rate(spec, chunk).value);
-        }
-        const double priced = engine.video_gamma(spec, video, rates);
-        const double unpriced = engine.video_gamma(spec, video);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(priced),
-                  std::bit_cast<std::uint64_t>(unpriced));
+          static_cast<media::Genre>(g), 30, 1.8 + 0.7 * g));
+    }
+  }
+  const display::DeviceCatalog& catalog = display::DeviceCatalog::standard();
+  // Beside the catalog: brightness settings outside [0, 1].
+  std::vector<display::DisplaySpec> specs = {
+      {display::DisplayType::kLcd, 5.0, 720, 1280, 400.0, 1.2},
+      {display::DisplayType::kOled, 6.0, 1440, 3200, 800.0, 1.2},
+      {display::DisplayType::kOled, 6.0, 1440, 3200, 800.0, -0.1}};
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    specs.push_back(catalog.at(i).spec);
+  }
+  for (const media::Video& video : videos) {
+    for (const display::DisplaySpec& spec : specs) {
+      std::vector<double> rates;
+      for (const media::VideoChunk& chunk : video.chunks) {
+        rates.push_back(estimator.rate(spec, chunk).value);
       }
+      const double priced = engine.video_gamma(spec, video, rates);
+      const double unpriced = engine.video_gamma(spec, video);
+      const double reference =
+          reference_video_gamma(engine, model, spec, video);
+      EXPECT_EQ(bits(priced), bits(reference));
+      EXPECT_EQ(bits(unpriced), bits(reference));
     }
   }
   EXPECT_DOUBLE_EQ(engine.video_gamma(lcd_spec(), media::Video{}, {}), 0.0);
