@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark): the from-scratch LP / ILP solver
 // substrate — the replacement for the paper's CPLEX/Gurobi calls — across
-// Phase-1-shaped instance sizes.
+// Phase-1-shaped instance sizes.  BM_BranchAndBound measures the served
+// B&B; BM_LpRelaxation measures the dense reference LP (the test oracle).
 #include <benchmark/benchmark.h>
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/solver/lp.hpp"
+#include "lpvs/solver/oracle.hpp"
 
 namespace {
 
@@ -32,7 +34,7 @@ void BM_LpRelaxation(benchmark::State& state) {
   lp.rows = bin.rows;
   lp.rhs = bin.rhs;
   lp.upper.assign(n, 1.0);
-  const lpvs::solver::LpSolver solver;
+  const lpvs::solver::oracle::LpSolver solver;
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(lp));
   }

@@ -3,11 +3,12 @@
 // 1e-4 relative gap, core::scheduler_ilp_defaults() — lands to optimal on
 // Phase-1-shaped two-row programs, next to the density greedy baseline.
 //
-// The certificate is the LP relaxation value from the dense LpSolver, an
-// engine independent of the served one.  It bounds every 0/1 point from
-// above; for a two-row binary program it equals the Lagrangian dual bound
-// (any multipliers give a bound at least as large), so "gap to LP bound"
-// is an upper bound on each solver's distance from the true optimum.
+// The certificate is the LP relaxation value from the dense reference
+// LpSolver (the test oracle), an engine independent of the served one.  It
+// bounds every 0/1 point from above; for a two-row binary program it equals
+// the Lagrangian dual bound (any multipliers give a bound at least as
+// large), so "gap to LP bound" is an upper bound on each solver's distance
+// from the true optimum.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "lpvs/core/scheduler.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/solver/lp.hpp"
+#include "lpvs/solver/oracle.hpp"
 
 namespace {
 
@@ -67,7 +69,7 @@ int main() {
   double worst_gap = 0.0;
   for (std::size_t n : {50, 100, 200, 400, 800}) {
     const BinaryProgram p = make_instance(rng, n);
-    const LpSolution bound = LpSolver().solve(LpProblem{
+    const LpSolution bound = oracle::LpSolver().solve(LpProblem{
         p.objective, p.rows, p.rhs, std::vector<double>(n, 1.0)});
 
     IlpSolution bnb;

@@ -1,16 +1,21 @@
 // Warm-start and engine ablation on the Fig. 10 replay workload:
 // consecutive-slot Phase-1 solves with realistic slot-to-slot deltas
-// (battery drain, gamma posterior drift, viewer churn), swept over both
-// relaxation engines:
+// (battery drain, gamma posterior drift, viewer churn), swept over two
+// branch-and-bound engines:
 //
-//   dense    per-node dense LP from scratch — the historical oracle
-//   revised  presolve + best-first B&B + per-node dual-simplex re-solve
-//            from the parent basis, with cross-slot root-basis memory
+//   dense    the reference B&B of the test-support library
+//            (solver::oracle::DenseBranchAndBound): depth-first, one dense
+//            LP from scratch per node
+//   revised  the served solver::BranchAndBoundSolver: presolve +
+//            best-first B&B + per-node dual-simplex re-solve from the
+//            parent basis, with cross-slot root-basis memory
 //
 // and over both seeding legs per engine — every solve cold (greedy seed)
-// versus warm-started through solver::SolveCache (previous slot's
-// assignment repaired into the B&B incumbent; under the revised engine the
-// cache additionally threads the root BasisHint from slot to slot).
+// versus warm-started from the previous slot's assignment repaired into
+// the B&B incumbent (solver::repair_assignment).  The served engine's warm
+// leg goes through solver::SolveCache, which also threads the root
+// BasisHint from slot to slot; the dense warm leg repairs the previous
+// assignment itself.
 //
 // Every engine x leg also reports wall time per explored node and LP
 // pivots per node (IlpSolution::lp_pivots), so a warm leg's effect on LP
@@ -37,6 +42,7 @@
 #include "lpvs/common/rng.hpp"
 #include "lpvs/common/table.hpp"
 #include "lpvs/core/scheduler.hpp"
+#include "lpvs/solver/oracle.hpp"
 #include "lpvs/solver/solve_cache.hpp"
 
 namespace {
@@ -172,66 +178,84 @@ int main() {
       advance_slot(rng, problem);
     }
 
-    auto run_engine = [&](solver::LpEngine engine) {
-      // Exact configuration on every leg: incumbents and basis memory may
-      // only change *pruning*, so objectives must agree bit-for-bit
-      // between a given engine's cold and warm legs (asserted per slot).
-      solver::BranchAndBoundSolver::Options exact;
-      exact.max_nodes = 500'000;
-      exact.relative_gap = 0.0;
-      exact.engine = engine;
-      const solver::BranchAndBoundSolver solver(exact);
+    // Exact configuration on every leg: incumbents and basis memory may
+    // only change *pruning*, so objectives must agree bit-for-bit between
+    // a given engine's cold and warm legs (asserted per slot).
+    solver::BranchAndBoundSolver::Options exact;
+    exact.max_nodes = 500'000;
+    exact.relative_gap = 0.0;
 
-      auto run_leg = [&](solver::SolveCache* cache) {
-        LegResult leg;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (const core::SlotProblem& slot : slots) {
-          const auto s0 = std::chrono::steady_clock::now();
-          const solver::BinaryProgram program = core::phase1_program(slot);
-          const solver::CachedSolve solved =
-              solver::solve_with_cache(solver, program, cache, /*key=*/1);
-          const auto s1 = std::chrono::steady_clock::now();
-          leg.nodes += solved.solution.nodes_explored;
-          leg.pivots += solved.solution.lp_pivots;
-          leg.objectives.push_back(solved.solution.objective);
-          leg.slot_ms.push_back(
-              std::chrono::duration<double, std::milli>(s1 - s0).count());
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        leg.wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        return leg;
-      };
+    auto run_leg = [&](auto&& solve_slot) {
+      LegResult leg;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (const core::SlotProblem& slot : slots) {
+        const auto s0 = std::chrono::steady_clock::now();
+        const solver::BinaryProgram program = core::phase1_program(slot);
+        const solver::IlpSolution solution = solve_slot(program);
+        const auto s1 = std::chrono::steady_clock::now();
+        leg.nodes += solution.nodes_explored;
+        leg.pivots += solution.lp_pivots;
+        leg.objectives.push_back(solution.objective);
+        leg.slot_ms.push_back(
+            std::chrono::duration<double, std::milli>(s1 - s0).count());
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      leg.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+      return leg;
+    };
 
-      EngineRun run;
-      run.cold = run_leg(nullptr);
-      solver::SolveCache cache;
-      run.warm = run_leg(&cache);
-      run.warm_starts = cache.stats().warm_starts;
+    auto check_legs = [&](const char* engine, EngineRun& run) {
       run.node_cut_percent =
           run.cold.nodes > 0
               ? 100.0 *
                     static_cast<double>(run.cold.nodes - run.warm.nodes) /
                     static_cast<double>(run.cold.nodes)
               : 0.0;
-
       for (int s = 0; s < kSlots; ++s) {
         if (run.cold.objectives[static_cast<std::size_t>(s)] !=
             run.warm.objectives[static_cast<std::size_t>(s)]) {
           std::printf(
               "OBJECTIVE MISMATCH (%s, cold vs warm) at %d devices, "
               "slot %d: cold %.17g warm %.17g\n",
-              solver::to_string(engine).c_str(), devices, s,
+              engine, devices, s,
               run.cold.objectives[static_cast<std::size_t>(s)],
               run.warm.objectives[static_cast<std::size_t>(s)]);
           all_pass = false;
         }
       }
-      return run;
     };
 
-    const EngineRun dense = run_engine(solver::LpEngine::kDense);
-    const EngineRun revised = run_engine(solver::LpEngine::kRevised);
+    const solver::oracle::DenseBranchAndBound dense_solver(exact);
+    EngineRun dense;
+    dense.cold = run_leg(
+        [&](const solver::BinaryProgram& p) { return dense_solver.solve(p); });
+    std::vector<int> previous;
+    dense.warm = run_leg([&](const solver::BinaryProgram& p) {
+      solver::IlpSolution solution;
+      if (previous.empty()) {
+        solution = dense_solver.solve(p);
+      } else {
+        ++dense.warm_starts;
+        solution =
+            dense_solver.solve(p, solver::repair_assignment(p, previous));
+      }
+      previous = solution.x;
+      return solution;
+    });
+    check_legs("dense", dense);
+
+    const solver::BranchAndBoundSolver revised_solver(exact);
+    EngineRun revised;
+    revised.cold = run_leg([&](const solver::BinaryProgram& p) {
+      return revised_solver.solve(p);
+    });
+    solver::SolveCache cache;
+    revised.warm = run_leg([&](const solver::BinaryProgram& p) {
+      return solver::solve_with_cache(revised_solver, p, &cache, /*key=*/1)
+          .solution;
+    });
+    revised.warm_starts = cache.stats().warm_starts;
+    check_legs("revised", revised);
 
     // Cross-engine agreement: the revised engine must land on the dense
     // oracle's objective (1e-9 relative) on every slot.

@@ -88,10 +88,8 @@ solver::BinaryProgram phase1_program(const SlotProblem& problem);
 /// B&B settings tuned for per-slot scheduling: a 200-node budget and a
 /// 1e-4 (0.01%) relative optimality gap, so the solver never chases ties
 /// through an exponential frontier of equivalent optima inside a 5-minute
-/// slot.  The default engine is the revised/dual-simplex serving hot path;
-/// pass solver::LpEngine::kDense to pin the historical oracle instead.
-solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
-    solver::LpEngine engine = solver::LpEngine::kRevised);
+/// slot.
+solver::BranchAndBoundSolver::Options scheduler_ilp_defaults();
 
 /// The paper's two-phase heuristic (SV-C).
 class LpvsScheduler : public Scheduler {

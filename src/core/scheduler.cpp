@@ -147,8 +147,7 @@ solver::BinaryProgram phase1_program(const SlotProblem& problem) {
   return program;
 }
 
-solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
-    solver::LpEngine engine) {
+solver::BranchAndBoundSolver::Options scheduler_ilp_defaults() {
   // The root LP plus LP-guided rounding already lands within a fraction of
   // a percent of the optimum on Phase-1-shaped knapsacks.  Proving exact
   // optimality can take an exponential tie-breaking frontier, which has no
@@ -157,7 +156,6 @@ solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
   solver::BranchAndBoundSolver::Options options;
   options.max_nodes = 200;
   options.relative_gap = 1e-4;
-  options.engine = engine;
   return options;
 }
 

@@ -1,11 +1,13 @@
-// 0/1 integer programming on top of the LP relaxation (lp.hpp).
+// 0/1 integer programming on top of the revised simplex (revised_lp.hpp).
 //
 // Phase-1 of the LPVS heuristic is a pure binary program: maximize the
 // total power saving subject to the two edge-capacity rows (6)(7), with the
 // compacted energy-feasibility constraint (11) acting as a per-device
-// eligibility filter.  The paper feeds this to CPLEX/Gurobi; we provide an
-// exact branch-and-bound over our own simplex, plus a greedy heuristic and
-// an exhaustive enumerator used as ground truth in tests.
+// eligibility filter.  The paper feeds this to CPLEX/Gurobi; we provide one
+// exact branch-and-bound over our own revised simplex, plus the greedy
+// heuristic that seeds it.  The reference solvers the tests check it
+// against (dense LP and B&B, exhaustive, knapsack DP) live in the
+// test-support library, lpvs/solver/oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "lpvs/common/status.hpp"
-#include "lpvs/solver/lp.hpp"
 #include "lpvs/solver/revised_lp.hpp"
 
 namespace lpvs::solver {
@@ -61,7 +62,7 @@ struct IlpSolution {
   /// LP pivots (LpSolution::iterations) summed over the explored nodes.
   /// Diagnostic only: not part of checkpoints, wire frames or digests.
   long lp_pivots = 0;
-  /// Variables the revised engine's root fixed by reduced cost (with the
+  /// Variables the B&B root fixed by reduced cost (with the
   /// free columns those fixings crowd out of a row); 0 when no B&B ran.
   /// Diagnostic only, like lp_pivots.
   long root_fixed = 0;
@@ -70,23 +71,18 @@ struct IlpSolution {
 };
 
 /// Exact branch-and-bound with LP bounding, most-fractional branching, and
-/// a greedy warm start.  Two relaxation engines (see LpEngine):
+/// a greedy warm start: presolve + root reduced-cost fixing + best-first
+/// node heap + per-node dual-simplex re-solve from the parent basis
+/// (RevisedLpSolver at its default options), with optional cross-solve
+/// root-basis memory (BasisHint).
 ///
-///   kDense    depth-first, branch-up-first, per-node dense LP from
-///             scratch — the historical path, kept bit-for-bit as the
-///             differential oracle.
-///   kRevised  presolve + root reduced-cost fixing + best-first node heap
-///             + per-node dual-simplex re-solve from the parent basis
-///             (RevisedLpSolver), with optional cross-solve root-basis
-///             memory (BasisHint).
-///
-/// Both engines are deterministic: node counts and objectives are pure
-/// functions of (problem, options, incumbent, basis memory) — no wall
-/// clocks, no thread-count dependence — which is what keeps SolveCache
-/// budget fingerprints and the degradation ladder's node budgets stable.
-/// The returned objective additionally never depends on the incumbent or
-/// the basis memory (they only steer pruning); the differential tests
-/// enforce this.
+/// Deterministic: node counts and objectives are pure functions of
+/// (problem, options, incumbent, basis memory) — no wall clocks, no
+/// thread-count dependence — which is what keeps SolveCache budget
+/// fingerprints and the degradation ladder's node budgets stable.  The
+/// returned objective additionally never depends on the incumbent or the
+/// basis memory (they only steer pruning); the differential tests enforce
+/// this.
 class BranchAndBoundSolver {
  public:
   struct Options {
@@ -97,11 +93,6 @@ class BranchAndBoundSolver {
     /// uses 1e-4 to avoid chasing ties through an exponential frontier of
     /// equivalent optima.
     double relative_gap = 0.0;
-    /// Which per-node relaxation engine to run.  Defaults to the dense
-    /// oracle; scheduler_ilp_defaults() selects kRevised for the serving
-    /// hot path.
-    LpEngine engine = LpEngine::kDense;
-    LpSolver::Options lp;
   };
 
   BranchAndBoundSolver() : BranchAndBoundSolver(Options{}) {}
@@ -119,34 +110,16 @@ class BranchAndBoundSolver {
   IlpSolution solve(const BinaryProgram& problem,
                     const std::vector<int>& incumbent) const;
 
-  /// Status-typed solve: OK carries the solution (optimal or node-limit
-  /// incumbent), non-OK carries why there is none (kInfeasible,
-  /// kInvalidArgument).  Preferred over inspecting IlpSolution::status at
-  /// call sites that propagate errors.
-  common::StatusOr<IlpSolution> try_solve(const BinaryProgram& problem) const;
-  common::StatusOr<IlpSolution> try_solve(
-      const BinaryProgram& problem, const std::vector<int>& incumbent) const;
-
   /// Full-control solve: optional warm incumbent (nullptr for greedy) plus
-  /// optional cross-solve basis memory.  With the revised engine,
-  /// `basis_memory` seeds the root relaxation when its presolve maps match
-  /// this problem's, and is overwritten with this solve's root basis for
-  /// the next slot; with the dense engine it is cleared.  Results never
-  /// depend on the memory's content — only the pivot path does.
+  /// optional cross-solve basis memory.  `basis_memory` seeds the root
+  /// relaxation when its presolve maps match this problem's, and is
+  /// overwritten with this solve's root basis for the next slot.  Results
+  /// never depend on the memory's content — only the pivot path does.
   IlpSolution solve_with_memory(const BinaryProgram& problem,
                                 const std::vector<int>* incumbent,
                                 BasisHint* basis_memory) const;
 
  private:
-  IlpSolution solve_impl(const BinaryProgram& problem,
-                         const std::vector<int>* incumbent,
-                         BasisHint* basis_memory) const;
-  IlpSolution solve_dense(const BinaryProgram& problem,
-                          const std::vector<int>* incumbent) const;
-  IlpSolution solve_revised(const BinaryProgram& problem,
-                            const std::vector<int>* incumbent,
-                            BasisHint* basis_memory) const;
-
   Options options_;
 };
 
@@ -157,18 +130,6 @@ class BranchAndBoundSolver {
 class GreedySolver {
  public:
   IlpSolution solve(const BinaryProgram& problem) const;
-};
-
-/// Brute force over all 2^n selections; ground truth for n <= ~22.
-/// Reports kInfeasible when no candidate passes (some rhs[i] < 0).
-class ExhaustiveSolver {
- public:
-  explicit ExhaustiveSolver(std::size_t max_vars = 22) : max_vars_(max_vars) {}
-
-  IlpSolution solve(const BinaryProgram& problem) const;
-
- private:
-  std::size_t max_vars_;
 };
 
 }  // namespace lpvs::solver

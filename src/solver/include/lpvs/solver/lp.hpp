@@ -1,12 +1,12 @@
-// Dense linear-programming solver: maximize c^T x subject to A x <= b and
-// box bounds 0 <= x <= u, via the bounded-variable primal simplex method.
+// Linear-programming problem and result types: maximize c^T x subject to
+// A x <= b and box bounds 0 <= x <= u.
 //
-// This is the reproduction's stand-in for the off-the-shelf solvers the
-// paper calls (CPLEX / Gurobi / CVX, SV-C).  The Phase-1 problem has only a
-// handful of rows (two capacity constraints plus the compacted feasibility
-// pre-filter), so a dense simplex with an explicitly inverted basis is both
-// simple and fast: the basis is m x m with m <= ~8 while n can be in the
-// thousands (Fig. 10 scales the VC to 5,000 devices).
+// The reproduction's stand-in for the off-the-shelf solvers the paper calls
+// (CPLEX / Gurobi / CVX, SV-C) is RevisedLpSolver (revised_lp.hpp), which
+// solves these problems for branch-and-bound.  The Phase-1 problem has only
+// a handful of rows (two capacity constraints plus the compacted
+// feasibility pre-filter) while n can be in the thousands (Fig. 10 scales
+// the VC to 5,000 devices), so the basis is tiny and kept explicitly.
 #pragma once
 
 #include <cstddef>
@@ -22,16 +22,10 @@ struct LpProblem {
   std::vector<double> objective;            ///< c, size n
   std::vector<std::vector<double>> rows;    ///< A, m rows of size n
   std::vector<double> rhs;                  ///< b, size m
-  std::vector<double> upper;                ///< u, size n (>= 0)
+  std::vector<double> upper;                ///< u, size n (>= 0, may be +inf)
 
   std::size_t num_vars() const { return objective.size(); }
   std::size_t num_rows() const { return rows.size(); }
-
-  /// Structural sanity (matching sizes, every row with rhs >= 0 so the
-  /// trivial slack basis is feasible; callers with negative rhs must
-  /// pre-scale or use RevisedLpSolver, which runs its own dual phase 1).
-  /// Upper bounds may be +infinity.  Asserted by the solver.
-  bool well_formed() const;
 };
 
 enum class LpStatus {
@@ -39,34 +33,15 @@ enum class LpStatus {
   kUnbounded,
   kIterationLimit,
   kMalformed,
-  kInfeasible,  ///< no point satisfies the rows within the bounds.  Only the
-                ///< revised engine can report it: the dense solver requires
-                ///< rhs >= 0, which makes the slack basis always feasible.
+  kInfeasible,  ///< no point satisfies the rows within the bounds
 };
 
 std::string to_string(LpStatus status);
 
-/// Which LP relaxation engine BranchAndBoundSolver runs per node.
-///
-///   kDense    the historical bounded-variable primal simplex (LpSolver):
-///             every node rebuilds the relaxation and re-inverts the basis
-///             from scratch.  Retained bit-for-bit as the differential
-///             oracle.
-///   kRevised  the revised/dual-simplex engine (RevisedLpSolver): one
-///             factorized basis per solve, per-node dual re-solve from the
-///             parent basis after bound tightening, presolve, best-first
-///             node ordering, and cross-slot root-basis reuse.
-enum class LpEngine : unsigned char {
-  kDense,
-  kRevised,
-};
-
-std::string to_string(LpEngine engine);
-
 /// Canonical-status view of an LP outcome: kOptimal maps to OK,
 /// kIterationLimit to kResourceExhausted (raise Options::max_iterations),
 /// kUnbounded to kInternal (capacity rows cannot produce it), kMalformed
-/// to kInvalidArgument.
+/// to kInvalidArgument, kInfeasible to kInfeasible.
 common::Status to_status(LpStatus status);
 
 struct LpSolution {
@@ -76,22 +51,6 @@ struct LpSolution {
   int iterations = 0;
 
   bool optimal() const { return status == LpStatus::kOptimal; }
-};
-
-class LpSolver {
- public:
-  struct Options {
-    int max_iterations = 200000;
-    double tolerance = 1e-9;
-  };
-
-  LpSolver() : LpSolver(Options{}) {}
-  explicit LpSolver(Options options) : options_(options) {}
-
-  LpSolution solve(const LpProblem& problem) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace lpvs::solver

@@ -1,13 +1,15 @@
 // Revised simplex with bounded variables, a maintained factorized basis,
 // and a dual-simplex re-solve path.
 //
-// The dense LpSolver (lp.hpp) rebuilds and re-inverts the basis from
-// scratch on every pivot of every solve, which is fine for one-off LPs but
-// is the measured wall for branch-and-bound over fleet-sized slot problems:
-// each B&B node pays O(n) bound-flip iterations with an O(m * (n+m))
-// refresh apiece.  This engine keeps the problem loaded across solves and
-// maintains B^-1 explicitly, updated by a product-form (eta) transformation
-// per pivot with periodic refactorization, so
+// This is the one LP engine of the served solver.  A dense simplex that
+// rebuilds and re-inverts the basis from scratch on every pivot of every
+// solve (kept as a test oracle, lpvs/solver/oracle.hpp) is fine for
+// one-off LPs but is the measured wall for branch-and-bound over
+// fleet-sized slot problems: each B&B node pays O(n) bound-flip iterations
+// with an O(m * (n+m)) refresh apiece.  This engine keeps the problem
+// loaded across solves and maintains B^-1 explicitly, updated by a
+// product-form (eta) transformation per pivot with periodic
+// refactorization, so
 //
 //   - a cold solve runs the bounded primal simplex with incremental basic
 //     values (no per-pivot re-inversion), and
@@ -23,9 +25,9 @@
 // shifted just enough to make the basis dual feasible ("cost shifting"),
 // the dual simplex then drives it to primal feasibility or proves the rows
 // infeasible (the certificate is objective-independent), and the true
-// objective is restored for the final primal clean-up.  This gives the
-// engine something the dense solver lacks: it accepts rhs < 0 and reports
-// LpStatus::kInfeasible instead of requiring well-formed non-negative rhs.
+// objective is restored for the final primal clean-up.  So the engine
+// accepts rhs < 0 and reports LpStatus::kInfeasible, where a primal-only
+// simplex must require rhs >= 0.
 //
 // Determinism: identical inputs produce identical pivot sequences (Dantzig
 // pricing with a Bland fallback after a degeneracy streak, index-ordered
@@ -90,8 +92,8 @@ class RevisedLpSolver {
   explicit RevisedLpSolver(Options options) : options_(options) {}
 
   /// Loads the problem (copied, column-major).  Returns false on shape
-  /// mismatch or NaN bounds.  Negative rhs is accepted (unlike
-  /// LpProblem::well_formed) — the dual phase 1 handles it.
+  /// mismatch or NaN bounds.  Negative rhs is accepted — the dual phase 1
+  /// handles it.
   bool load(const LpProblem& problem);
 
   /// Overrides variable j's box to [lower, upper] (0 <= j < num_vars()).

@@ -185,6 +185,38 @@ decltype(auto) with_rows(std::size_t m, Fn&& fn) {
 
 }  // namespace
 
+std::string to_string(LpStatus status) {
+  switch (status) {
+    case LpStatus::kOptimal:
+      return "optimal";
+    case LpStatus::kUnbounded:
+      return "unbounded";
+    case LpStatus::kIterationLimit:
+      return "iteration-limit";
+    case LpStatus::kMalformed:
+      return "malformed";
+    case LpStatus::kInfeasible:
+      return "infeasible";
+  }
+  return "unknown";
+}
+
+common::Status to_status(LpStatus status) {
+  switch (status) {
+    case LpStatus::kOptimal:
+      return common::Status::Ok();
+    case LpStatus::kUnbounded:
+      return common::Status::Internal("lp relaxation unbounded");
+    case LpStatus::kIterationLimit:
+      return common::Status::ResourceExhausted("simplex iteration limit");
+    case LpStatus::kMalformed:
+      return common::Status::InvalidArgument("malformed lp problem");
+    case LpStatus::kInfeasible:
+      return common::Status::Infeasible("no point satisfies the lp rows");
+  }
+  return common::Status::Internal("unknown lp status");
+}
+
 bool RevisedLpSolver::load(const LpProblem& problem) {
   const std::size_t n = problem.num_vars();
   const std::size_t m = problem.num_rows();

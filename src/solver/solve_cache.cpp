@@ -65,15 +65,13 @@ std::uint64_t budget_fingerprint(
   mix(h, static_cast<std::uint64_t>(options.max_nodes));
   mix(h, options.tolerance);
   mix(h, options.relative_gap);
-  mix(h, static_cast<std::uint64_t>(options.lp.max_iterations));
-  mix(h, options.lp.tolerance);
-  // The relaxation engine changes node counts and can change tie-broken
-  // assignments, so a dense entry must never exact-hit a revised lookup.
-  // Mixed only for non-default engines to keep every pre-existing dense
-  // fingerprint bit-stable.
-  if (options.engine != LpEngine::kDense) {
-    mix(h, static_cast<std::uint64_t>(options.engine));
-  }
+  // The LP engine's iteration limit and tolerance, then the engine tag
+  // (1, the revised simplex) that budgets carried when a second B&B engine
+  // existed.  Constant now, but mixed so fingerprints already stored in
+  // checkpoints and solve caches keep their values.
+  mix(h, std::uint64_t{200000});
+  mix(h, 1e-9);
+  mix(h, std::uint64_t{1});
   return h;
 }
 
@@ -304,9 +302,9 @@ CachedSolve solve_with_cache(const BranchAndBoundSolver& solver,
     result.exact_hit = true;
     return result;
   }
-  // Basis memory rides along with the warm start: the revised engine
-  // re-solves the root relaxation dually from the previous slot's basis
-  // and writes this slot's back; the dense engine clears it.
+  // Basis memory rides along with the warm start: the solver re-solves
+  // the root relaxation dually from the previous slot's basis and writes
+  // this slot's back.
   BasisHint basis = std::move(hint.basis);
   if (!hint.incumbent.empty()) {
     result.warm_started = true;

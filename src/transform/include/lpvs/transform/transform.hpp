@@ -105,11 +105,6 @@ class TransformEngine {
   ChunkTransform transform_chunk(const display::DisplaySpec& spec,
                                  const media::VideoChunk& chunk) const;
 
-  /// Device-level power saving fraction (gamma) achieved by transforming
-  /// this chunk: display savings divided by total playback power.
-  double chunk_gamma(const display::DisplaySpec& spec,
-                     const media::VideoChunk& chunk) const;
-
   /// Average gamma over a whole video — the realized gamma_n observation
   /// that feeds the Bayesian update at the end of a slot (SV-D).
   double video_gamma(const display::DisplaySpec& spec,

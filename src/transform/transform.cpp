@@ -84,18 +84,6 @@ ChunkTransform TransformEngine::transform_chunk(
       .apply(spec, chunk.stats);
 }
 
-double TransformEngine::chunk_gamma(const display::DisplaySpec& spec,
-                                    const media::VideoChunk& chunk) const {
-  const ChunkTransform result = transform_chunk(spec, chunk);
-  const double total =
-      device_model_.playback_power(spec, chunk.stats, chunk.bitrate_mbps)
-          .value;
-  if (total <= 0.0) return 0.0;
-  const double saved = result.display_power_before.value -
-                       result.display_power_after.value;
-  return std::clamp(saved / total, 0.0, 1.0);
-}
-
 /// Energy-weighted average: gamma over a slot is total energy saved over
 /// total energy that would have been drawn untransformed.
 /// `playback_mw(panel, k)` is chunk k's untransformed playback power.  Each

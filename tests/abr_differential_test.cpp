@@ -3,8 +3,8 @@
 // build_joint_program emits a plain solver::BinaryProgram, so the solver
 // stack's ground-truth chain extends to rung variables unchanged: over
 // hundreds of random joint instances (devices x ladders x budgets x QoE
-// floors), branch-and-bound with the revised engine, branch-and-bound with
-// the dense oracle engine, and the exhaustive enumerator must agree on
+// floors), the served branch-and-bound, the dense reference B&B
+// (oracle::DenseBranchAndBound), and the exhaustive enumerator must agree on
 // status and objective, and the decoded selection must respect the
 // multiple-choice rows (at most one menu entry per device).
 //
@@ -23,6 +23,7 @@
 #include "lpvs/core/run_context.hpp"
 #include "lpvs/core/slot_problem.hpp"
 #include "lpvs/solver/ilp.hpp"
+#include "lpvs/solver/oracle.hpp"
 #include "lpvs/survey/lba_curve.hpp"
 
 namespace lpvs::abr {
@@ -98,20 +99,17 @@ JointSlotProblem random_problem(common::Rng& rng) {
   return problem;
 }
 
-solver::BranchAndBoundSolver exact_solver(solver::LpEngine engine) {
+solver::BranchAndBoundSolver::Options exact_options() {
   solver::BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
-  options.engine = engine;
-  return solver::BranchAndBoundSolver(options);
+  return options;
 }
 
 TEST(AbrDifferential, JointSolvesAgreeAcrossEnginesAndExhaustive) {
-  const solver::BranchAndBoundSolver revised =
-      exact_solver(solver::LpEngine::kRevised);
-  const solver::BranchAndBoundSolver dense =
-      exact_solver(solver::LpEngine::kDense);
-  const solver::ExhaustiveSolver exhaustive;
+  const solver::BranchAndBoundSolver revised(exact_options());
+  const solver::oracle::DenseBranchAndBound dense(exact_options());
+  const solver::oracle::ExhaustiveSolver exhaustive;
 
   long nonempty_instances = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -258,12 +256,8 @@ TEST(AbrDifferential, SchedulerObjectiveMatchesProgramOptimum) {
   // JointAbrScheduler at an exact budget must achieve the exhaustive
   // optimum of the very program it compiled — the end-to-end guarantee the
   // serving path inherits.
-  solver::BranchAndBoundSolver::Options options;
-  options.max_nodes = 500'000;
-  options.relative_gap = 0.0;
-  options.engine = solver::LpEngine::kRevised;
-  const JointAbrScheduler scheduler(options);
-  const solver::ExhaustiveSolver exhaustive;
+  const JointAbrScheduler scheduler(exact_options());
+  const solver::oracle::ExhaustiveSolver exhaustive;
 
   for (int trial = 0; trial < 120; ++trial) {
     const std::uint64_t seed = 77000 + static_cast<std::uint64_t>(trial);

@@ -1,13 +1,19 @@
-// Tests for the DP knapsack solver: exactness against exhaustive search,
-// agreement with branch-and-bound, discretization safety (never violates
-// the true capacity), and degenerate instances.
+// Tests for the DP knapsack solver of the test-support library
+// (oracle::KnapsackDpSolver): exactness against exhaustive search,
+// agreement with the served branch-and-bound, discretization safety (never
+// violates the true capacity), and degenerate instances.
 #include <gtest/gtest.h>
 
 #include "lpvs/common/rng.hpp"
-#include "lpvs/solver/knapsack.hpp"
+#include "lpvs/solver/ilp.hpp"
+#include "lpvs/solver/lp.hpp"
+#include "lpvs/solver/oracle.hpp"
 
 namespace lpvs::solver {
 namespace {
+
+using oracle::ExhaustiveSolver;
+using oracle::KnapsackDpSolver;
 
 BinaryProgram knapsack(std::vector<double> values,
                        std::vector<double> weights, double capacity) {
@@ -141,9 +147,17 @@ TEST(KnapsackDp, AgreesWithBranchAndBoundAtScale) {
   opt.max_nodes = 500;
   opt.relative_gap = 1e-4;
   const IlpSolution bnb = BranchAndBoundSolver(opt).solve(p);
+  const LpSolution bound = oracle::LpSolver().solve(
+      LpProblem{p.objective, p.rows, p.rhs, std::vector<double>(n, 1.0)});
   ASSERT_TRUE(dp.optimal());
-  // DP is the exact reference; B&B with its gap must land within 0.1%.
-  EXPECT_GE(dp.objective, bnb.objective - 1e-6);
+  ASSERT_TRUE(bound.optimal());
+  EXPECT_TRUE(p.feasible(bnb.x));
+  // The DP rounds weights up, so its answer is feasible but only a lower
+  // bound on the optimum; the B&B may beat it (on this instance it does,
+  // by 0.23).  The B&B stops within its relative gap of any feasible
+  // point, and nothing feasible exceeds the LP relaxation.
+  EXPECT_GE(bnb.objective, dp.objective * (1.0 - opt.relative_gap) - 1e-6);
+  EXPECT_LE(bnb.objective, bound.objective + 1e-6);
   EXPECT_NEAR(bnb.objective, dp.objective, 1e-3 * dp.objective);
 }
 

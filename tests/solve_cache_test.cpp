@@ -44,12 +44,6 @@ IlpSolution solved(std::vector<int> x, double objective,
   return s;
 }
 
-BranchAndBoundSolver revised_solver() {
-  BranchAndBoundSolver::Options options;
-  options.engine = LpEngine::kRevised;
-  return BranchAndBoundSolver(options);
-}
-
 TEST(SolveCacheStore, KeepsOnlySolvedOrFeasibleSolutions) {
   SolveCache cache;
   cache.store(1, 11, solved({1, 0}, 3.0, IlpStatus::kMalformed));
@@ -86,7 +80,7 @@ TEST(SolveCacheLookupHint, ClassifiesAndCountsEveryLookup) {
   EXPECT_FALSE(cold.exact_hit);
   EXPECT_TRUE(cold.incumbent.empty());
 
-  const IlpSolution optimum = revised_solver().solve(p);
+  const IlpSolution optimum = BranchAndBoundSolver().solve(p);
   ASSERT_TRUE(optimum.optimal());
   cache.store(1, fp, optimum);
 
@@ -195,7 +189,7 @@ TEST(SolveCacheCheckpoint, ImportOverwritesAndCarriesNoBasisMemory) {
 }
 
 TEST(SolveWithCache, NullCacheIsAPlainSolve) {
-  const BranchAndBoundSolver solver = revised_solver();
+  const BranchAndBoundSolver solver;
   const BinaryProgram p = knapsack(12, 14);
   const IlpSolution plain = solver.solve(p);
   const CachedSolve cached = solve_with_cache(solver, p, nullptr, 0);
@@ -208,7 +202,7 @@ TEST(SolveWithCache, NullCacheIsAPlainSolve) {
 }
 
 TEST(SolveWithCache, ExactHitReplaysWithoutSearch) {
-  const BranchAndBoundSolver solver = revised_solver();
+  const BranchAndBoundSolver solver;
   const BinaryProgram p = knapsack(13, 14);
   SolveCache cache;
   const CachedSolve first = solve_with_cache(solver, p, &cache, 2);
@@ -229,7 +223,7 @@ TEST(SolveWithCache, ExactHitReplaysWithoutSearch) {
 }
 
 TEST(SolveWithCache, WarmStartReportsItsIncumbentAndKeepsTheObjective) {
-  const BranchAndBoundSolver solver = revised_solver();
+  const BranchAndBoundSolver solver;
   BinaryProgram p = knapsack(14, 16);
   SolveCache cache;
   ASSERT_TRUE(solve_with_cache(solver, p, &cache, 5).solution.optimal());
@@ -285,7 +279,7 @@ TEST(RepairAssignment, FeasibleStaleSelectionNeverLosesValue) {
   // Nothing is evicted from a selection that already fits, and the
   // re-pack and swap polish only ever add value — so an optimal stale
   // assignment comes back exactly as good.
-  const BranchAndBoundSolver solver = revised_solver();
+  const BranchAndBoundSolver solver;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const BinaryProgram p = knapsack(300 + seed, 11);
     const IlpSolution optimum = solver.solve(p);

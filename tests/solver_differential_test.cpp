@@ -1,6 +1,7 @@
 // Differential/property harness for the solve pipeline.
 //
-// Ground truth is ExhaustiveSolver (brute force over all 2^n selections);
+// Ground truth is oracle::ExhaustiveSolver (brute force over all 2^n
+// selections), and oracle::DenseBranchAndBound at sizes beyond it;
 // the properties are the invariants the warm-start pipeline leans on:
 //
 //   1. B&B at relative_gap = 0 returns the exhaustive optimum on random
@@ -23,12 +24,15 @@
 #include "lpvs/common/rng.hpp"
 #include "lpvs/core/scheduler.hpp"
 #include "lpvs/solver/ilp.hpp"
+#include "lpvs/solver/oracle.hpp"
 #include "lpvs/solver/presolve.hpp"
 #include "lpvs/solver/revised_lp.hpp"
 #include "lpvs/solver/solve_cache.hpp"
 
 namespace lpvs::solver {
 namespace {
+
+using oracle::ExhaustiveSolver;
 
 constexpr int kTrials = 500;
 
@@ -91,12 +95,15 @@ BinaryProgram perturb(const BinaryProgram& base, common::Rng& rng) {
   return next;
 }
 
-BranchAndBoundSolver exact_solver(LpEngine engine = LpEngine::kDense) {
+BranchAndBoundSolver::Options exact_options() {
   BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
-  options.engine = engine;
-  return BranchAndBoundSolver(options);
+  return options;
+}
+
+BranchAndBoundSolver exact_solver() {
+  return BranchAndBoundSolver(exact_options());
 }
 
 /// Which row of a Phase-1-shaped program is not a plain binding row.
@@ -167,7 +174,7 @@ TEST(SolverDifferential, BranchAndBoundMatchesExhaustiveOptimum) {
 // searches only the rest.  At gap 0 the fixing prunes only what cannot
 // beat the incumbent, so exact solves must still find the optimum.
 TEST(RootFixing, ExactSolvesMatchExhaustiveOptimum) {
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb = exact_solver();
   const ExhaustiveSolver exhaustive;
   long fixed = 0;
   for (int trial = 0; trial < 240; ++trial) {
@@ -194,7 +201,7 @@ TEST(RootFixing, ExactSolvesMatchExhaustiveOptimum) {
 // the returned point, and the root fixes at least what the greedy seed
 // alone would have let it fix.
 TEST(RootFixing, ReturnedPointKeepsEveryFixing) {
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb = exact_solver();
   const double tol = BranchAndBoundSolver::Options{}.tolerance;
   long checked = 0;
   long branched = 0;
@@ -248,8 +255,8 @@ class RootFixingAtScale : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RootFixingAtScale, ExactSolvesMatchDenseOracle) {
   const std::size_t n = GetParam();
-  const BranchAndBoundSolver revised = exact_solver(LpEngine::kRevised);
-  const BranchAndBoundSolver dense = exact_solver(LpEngine::kDense);
+  const BranchAndBoundSolver revised = exact_solver();
+  const oracle::DenseBranchAndBound dense(exact_options());
   long fixed = 0;
   for (int trial = 0; trial < 4; ++trial) {
     common::Rng rng(7500 + n + static_cast<std::uint64_t>(trial));

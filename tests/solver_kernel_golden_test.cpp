@@ -173,7 +173,6 @@ BranchAndBoundSolver revised_solver(long max_nodes, double gap) {
   BranchAndBoundSolver::Options options;
   options.max_nodes = max_nodes;
   options.relative_gap = gap;
-  options.engine = LpEngine::kRevised;
   return BranchAndBoundSolver(options);
 }
 

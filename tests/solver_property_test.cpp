@@ -1,9 +1,10 @@
 // Property-based harness for the revised/dual-simplex engine and the
 // presolved best-first branch-and-bound built on it.
 //
-// The revised engine replaced the dense simplex on the serving hot path
-// (scheduler_ilp_defaults), so it carries the correctness burden of every
-// slot schedule.  This suite pins it from four directions:
+// The revised engine is the one LP engine of the served solver, so it
+// carries the correctness burden of every slot schedule.  This suite pins
+// it from four directions, with the dense simplex and dense B&B of the
+// test-support library (lpvs/solver/oracle.hpp) as references:
 //
 //   1. LP differential: on seeded random LP families — degenerate
 //      (duplicate columns), dual-degenerate (tied reduced costs),
@@ -12,8 +13,8 @@
 //      simplex wherever the dense simplex is defined, and is provably
 //      right where it is not (rhs < 0).
 //   2. ILP differential: presolve + best-first B&B under the revised
-//      engine equals ExhaustiveSolver on random binary programs, and the
-//      two B&B engines agree with each other.
+//      engine equals ExhaustiveSolver on random binary programs, and it
+//      agrees with the dense reference B&B.
 //   3. Metamorphic basis reuse: perturb ONE coefficient of a solved LP and
 //      re-solve warm from the old basis — the objective must match a cold
 //      solve of the perturbed problem.
@@ -35,6 +36,7 @@
 #include "lpvs/common/rng.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/solver/lp.hpp"
+#include "lpvs/solver/oracle.hpp"
 #include "lpvs/solver/presolve.hpp"
 #include "lpvs/solver/revised_lp.hpp"
 
@@ -94,11 +96,11 @@ LpSolution solve_revised(const LpProblem& p) {
 }
 
 TEST(SolverProperty, RevisedMatchesDenseAcrossLpFamilies) {
-  const LpSolver dense;
+  const oracle::LpSolver dense;
   for (int trial = 0; trial < kLpTrials; ++trial) {
     common::Rng rng(11000 + static_cast<std::uint64_t>(trial));
     const LpProblem p = random_lp(rng);
-    ASSERT_TRUE(p.well_formed()) << "trial seed " << 11000 + trial;
+    ASSERT_TRUE(oracle::well_formed(p)) << "trial seed " << 11000 + trial;
     const LpSolution want = dense.solve(p);
     const LpSolution got = solve_revised(p);
     ASSERT_EQ(got.status, want.status) << "trial seed " << 11000 + trial;
@@ -133,8 +135,8 @@ TEST(SolverProperty, RevisedAgreesWithDenseOnUnboundedRays) {
     p.objective[star] = rng.uniform(0.5, 5.0);
     p.upper[star] = kInf;
     for (auto& row : p.rows) row[star] = 0.0;
-    ASSERT_TRUE(p.well_formed()) << "trial seed " << 12000 + trial;
-    ASSERT_EQ(LpSolver().solve(p).status, LpStatus::kUnbounded)
+    ASSERT_TRUE(oracle::well_formed(p)) << "trial seed " << 12000 + trial;
+    ASSERT_EQ(oracle::LpSolver().solve(p).status, LpStatus::kUnbounded)
         << "trial seed " << 12000 + trial;
     ASSERT_EQ(solve_revised(p).status, LpStatus::kUnbounded)
         << "trial seed " << 12000 + trial;
@@ -155,8 +157,8 @@ TEST(SolverProperty, RevisedProvesInfeasibilityOnNegativeRhs) {
     const auto victim = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<int>(p.rows.size()) - 1));
     p.rhs[victim] = rng.uniform(-10.0, -0.01);
-    ASSERT_FALSE(p.well_formed()) << "trial seed " << 13000 + trial;
-    ASSERT_EQ(LpSolver().solve(p).status, LpStatus::kMalformed)
+    ASSERT_FALSE(oracle::well_formed(p)) << "trial seed " << 13000 + trial;
+    ASSERT_EQ(oracle::LpSolver().solve(p).status, LpStatus::kMalformed)
         << "trial seed " << 13000 + trial;
 
     RevisedLpSolver engine;
@@ -250,17 +252,16 @@ BinaryProgram random_program(common::Rng& rng) {
   return problem;
 }
 
-BranchAndBoundSolver exact_solver(LpEngine engine) {
+BranchAndBoundSolver::Options exact_options() {
   BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
-  options.engine = engine;
-  return BranchAndBoundSolver(options);
+  return options;
 }
 
 TEST(SolverProperty, RevisedBnbMatchesExhaustive) {
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
-  const ExhaustiveSolver exhaustive;
+  const BranchAndBoundSolver bnb(exact_options());
+  const oracle::ExhaustiveSolver exhaustive;
   for (int trial = 0; trial < kIlpTrials; ++trial) {
     common::Rng rng(15000 + static_cast<std::uint64_t>(trial));
     const BinaryProgram problem = random_program(rng);
@@ -277,8 +278,8 @@ TEST(SolverProperty, RevisedBnbMatchesExhaustive) {
 }
 
 TEST(SolverProperty, EnginesAgreeAndPresolveIsLossless) {
-  const BranchAndBoundSolver dense = exact_solver(LpEngine::kDense);
-  const BranchAndBoundSolver revised = exact_solver(LpEngine::kRevised);
+  const oracle::DenseBranchAndBound dense(exact_options());
+  const BranchAndBoundSolver revised(exact_options());
   for (int trial = 0; trial < kIlpTrials; ++trial) {
     common::Rng rng(16000 + static_cast<std::uint64_t>(trial));
     const BinaryProgram problem = random_program(rng);
@@ -310,7 +311,7 @@ TEST(SolverProperty, IncumbentNeverChangesRevisedVerdictOrObjective) {
   // solve(p) vs solve(p, incumbent): for incumbents optimal, stale, and
   // adversarial, the status and the achieved objective must be identical —
   // the incumbent may only change pruning.
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb(exact_options());
   for (int trial = 0; trial < kIlpTrials; ++trial) {
     common::Rng rng(17000 + static_cast<std::uint64_t>(trial));
     const BinaryProgram problem = random_program(rng);
@@ -341,7 +342,7 @@ TEST(SolverProperty, BasisMemoryChangesPivotsNeverResults) {
   // solve against a memoryless one.  Objectives and statuses must be
   // bit-identical; node counts may differ (the memory steers the pivot
   // path) but must be reproducible run over run.
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb(exact_options());
   for (int trial = 0; trial < 50; ++trial) {
     common::Rng rng(18000 + static_cast<std::uint64_t>(trial));
     BinaryProgram problem = random_program(rng);

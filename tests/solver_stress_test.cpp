@@ -8,11 +8,14 @@
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/solver/ilp.hpp"
-#include "lpvs/solver/knapsack.hpp"
 #include "lpvs/solver/lp.hpp"
+#include "lpvs/solver/oracle.hpp"
 
 namespace lpvs::solver {
 namespace {
+
+using oracle::KnapsackDpSolver;
+using oracle::LpSolver;
 
 TEST(LpStress, ManyIdenticalColumnsDegenerateTies) {
   // 200 identical columns against one tight row: maximal tie-breaking
@@ -161,21 +164,18 @@ TEST(BnbStress, TruncatedBudgetStillReportsInfeasible) {
   p.objective = {5.0, 3.0, 8.0};
   p.rows = {{1.0, 1.0, 1.0}, {2.0, 0.5, 1.0}};
   p.rhs = {4.0, -1.0};
-  for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
-    BranchAndBoundSolver::Options options;
-    options.engine = engine;
-    options.max_nodes = 1;
-    const BranchAndBoundSolver bnb(options);
-    const IlpSolution cold = bnb.solve(p);
-    EXPECT_EQ(cold.status, IlpStatus::kInfeasible)
-        << "engine " << to_string(engine);
-    // A (necessarily bogus) warm incumbent must not smuggle in a feasible
-    // verdict either: the incumbent is infeasible by construction, so the
-    // solver must reject it and reach the same conclusion.
-    const IlpSolution warm = bnb.solve(p, std::vector<int>{1, 1, 1});
-    EXPECT_EQ(warm.status, IlpStatus::kInfeasible)
-        << "engine " << to_string(engine);
-  }
+  BranchAndBoundSolver::Options options;
+  options.max_nodes = 1;
+  const BranchAndBoundSolver served(options);
+  const oracle::DenseBranchAndBound dense(options);
+  EXPECT_EQ(served.solve(p).status, IlpStatus::kInfeasible);
+  EXPECT_EQ(dense.solve(p).status, IlpStatus::kInfeasible);
+  // A (necessarily bogus) warm incumbent must not smuggle in a feasible
+  // verdict either: the incumbent is infeasible by construction, so the
+  // solver must reject it and reach the same conclusion.
+  const std::vector<int> bogus = {1, 1, 1};
+  EXPECT_EQ(served.solve(p, bogus).status, IlpStatus::kInfeasible);
+  EXPECT_EQ(dense.solve(p, bogus).status, IlpStatus::kInfeasible);
 }
 
 TEST(BnbStress, TruncatedBudgetInfeasibleAcrossRandomInstances) {
@@ -193,21 +193,20 @@ TEST(BnbStress, TruncatedBudgetInfeasibleAcrossRandomInstances) {
       for (auto& a : row) a = rng.uniform(0.0, 10.0);
     }
     p.rhs = {rng.uniform(0.0, 20.0), rng.uniform(-10.0, -0.01)};
-    const long budget = static_cast<long>(rng.uniform_int(1, 64));
-    for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
-      BranchAndBoundSolver::Options options;
-      options.engine = engine;
-      options.max_nodes = budget;
-      const IlpSolution s = BranchAndBoundSolver(options).solve(p);
-      ASSERT_EQ(s.status, IlpStatus::kInfeasible)
-          << "trial seed " << 21000 + trial << " engine "
-          << to_string(engine) << " budget " << budget;
-    }
+    BranchAndBoundSolver::Options options;
+    options.max_nodes = static_cast<long>(rng.uniform_int(1, 64));
+    ASSERT_EQ(BranchAndBoundSolver(options).solve(p).status,
+              IlpStatus::kInfeasible)
+        << "trial seed " << 21000 + trial << " budget " << options.max_nodes;
+    ASSERT_EQ(oracle::DenseBranchAndBound(options).solve(p).status,
+              IlpStatus::kInfeasible)
+        << "trial seed " << 21000 + trial << " budget " << options.max_nodes
+        << " (dense oracle)";
   }
 }
 
 TEST(BnbStress, TruncatedBudgetWithFixedRootStillReportsInfeasible) {
-  // The same property once the revised engine's root has fixed variables
+  // The same property once the B&B root has fixed variables
   // by reduced cost.  A row whose rhs is negative but within the solver
   // tolerance passes presolve and the root relaxation, yet no 0/1 point
   // satisfies it, so the solve reaches the root, fixes and searches, and
@@ -228,19 +227,18 @@ TEST(BnbStress, TruncatedBudgetWithFixedRootStillReportsInfeasible) {
     }
     p.rhs = {p.rows[0][0] + rng.uniform(0.5, 2.0),
              rng.uniform(-9e-8, -2e-9)};
-    const long budget = static_cast<long>(rng.uniform_int(1, 64));
-    for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
-      BranchAndBoundSolver::Options options;
-      options.engine = engine;
-      options.max_nodes = budget;
-      const IlpSolution s = BranchAndBoundSolver(options).solve(p);
-      ASSERT_EQ(s.status, IlpStatus::kInfeasible)
-          << "trial seed " << 23000 + trial << " engine "
-          << to_string(engine) << " budget " << budget;
-      fixed += s.root_fixed;
-    }
+    BranchAndBoundSolver::Options options;
+    options.max_nodes = static_cast<long>(rng.uniform_int(1, 64));
+    const IlpSolution s = BranchAndBoundSolver(options).solve(p);
+    ASSERT_EQ(s.status, IlpStatus::kInfeasible)
+        << "trial seed " << 23000 + trial << " budget " << options.max_nodes;
+    fixed += s.root_fixed;
+    ASSERT_EQ(oracle::DenseBranchAndBound(options).solve(p).status,
+              IlpStatus::kInfeasible)
+        << "trial seed " << 23000 + trial << " budget " << options.max_nodes
+        << " (dense oracle)";
   }
-  EXPECT_GT(fixed, 0);  // the revised roots did fix variables
+  EXPECT_GT(fixed, 0);  // the roots did fix variables
 }
 
 TEST(KnapsackStress, ManyZeroWeightItems) {

@@ -145,8 +145,25 @@ TEST(TransformEngine, DispatchesOnPanelType) {
   EXPECT_DOUBLE_EQ(oled.backlight_level, 1.0);
 }
 
+/// Device-level gamma of one chunk: the transform's display saving over
+/// the chunk's untransformed playback power under `model`, clamped to
+/// [0, 1].
+double chunk_gamma(const TransformEngine& engine,
+                   const display::DevicePowerModel& model,
+                   const display::DisplaySpec& spec,
+                   const media::VideoChunk& chunk) {
+  const ChunkTransform result = engine.transform_chunk(spec, chunk);
+  const double total =
+      model.playback_power(spec, chunk.stats, chunk.bitrate_mbps).value;
+  if (total <= 0.0) return 0.0;
+  const double saved = result.display_power_before.value -
+                       result.display_power_after.value;
+  return std::clamp(saved / total, 0.0, 1.0);
+}
+
 TEST(TransformEngine, ChunkGammaInUnitInterval) {
-  const TransformEngine engine;
+  const display::DevicePowerModel model;
+  const TransformEngine engine(model);
   media::ContentGenerator generator(2);
   for (int g = 0; g < media::kGenreCount; ++g) {
     const media::Video video = generator.generate(
@@ -154,7 +171,7 @@ TEST(TransformEngine, ChunkGammaInUnitInterval) {
         static_cast<media::Genre>(g), 20, 3.0);
     for (const auto& chunk : video.chunks) {
       for (const auto& spec : {lcd_spec(), oled_spec()}) {
-        const double gamma = engine.chunk_gamma(spec, chunk);
+        const double gamma = chunk_gamma(engine, model, spec, chunk);
         EXPECT_GE(gamma, 0.0);
         EXPECT_LT(gamma, 1.0);
       }
@@ -202,7 +219,7 @@ TEST(TransformEngine, VideoGammaIsEnergyWeightedChunkGamma) {
         model.playback_power(oled_spec(), chunk.stats, chunk.bitrate_mbps)
             .value;
     base += total * chunk.duration.value;
-    saved += engine.chunk_gamma(oled_spec(), chunk) * total *
+    saved += chunk_gamma(engine, model, oled_spec(), chunk) * total *
              chunk.duration.value;
   }
   EXPECT_NEAR(engine.video_gamma(oled_spec(), video), saved / base, 1e-9);
