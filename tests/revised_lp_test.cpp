@@ -107,7 +107,7 @@ TEST(RevisedLpLoad, RejectsShapeMismatchNanUpperAndNonFiniteRhs) {
   infinite_rhs.rhs[0] = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(engine.load(infinite_rhs));
 
-  // Unlike LpProblem::well_formed, a negative rhs loads (dual phase 1
+  // Unlike oracle::well_formed, a negative rhs loads (dual phase 1
   // handles it) and an infinite upper is a legal open box.
   LpProblem negative_rhs = good;
   negative_rhs.rhs[0] = -1.0;
