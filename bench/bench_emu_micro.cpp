@@ -116,7 +116,7 @@ void BM_SignalingCost(benchmark::State& state) {
 BENCHMARK(BM_SignalingCost);
 
 /// A server's checkpoint as the federation takes it: `sessions` learned
-/// posteriors plus the server's warm-start entry (one variable per session).
+/// posteriors with their last assignments.
 lpvs::fleet::Checkpoint checkpoint_of(int sessions) {
   lpvs::common::Rng rng(7);
   lpvs::fleet::Checkpoint checkpoint;
@@ -139,16 +139,6 @@ lpvs::fleet::Checkpoint checkpoint_of(int sessions) {
     state.last_assignment = rng.bernoulli(0.5) ? 1 : 0;
     state.slots_served = 40;
   }
-  lpvs::solver::SolveCache::ExportedEntry entry;
-  entry.key = checkpoint.server;
-  entry.fingerprint = 0x9E3779B97F4A7C15ULL;
-  entry.solution.status = lpvs::solver::IlpStatus::kOptimal;
-  entry.solution.objective = -12.5;
-  entry.solution.nodes_explored = 31;
-  for (const auto& session : checkpoint.sessions) {
-    entry.solution.x.push_back(session.last_assignment);
-  }
-  checkpoint.cache_entries.push_back(entry);
   return checkpoint;
 }
 

@@ -8,14 +8,14 @@
 //            LP from scratch per node
 //   revised  the served solver::BranchAndBoundSolver: presolve +
 //            best-first B&B + per-node dual-simplex re-solve from the
-//            parent basis, with cross-slot root-basis memory
+//            parent basis
 //
 // and over both seeding legs per engine — every solve cold (greedy seed)
 // versus warm-started from the previous slot's assignment repaired into
-// the B&B incumbent (solver::repair_assignment).  The served engine's warm
-// leg goes through solver::SolveCache, which also threads the root
-// BasisHint from slot to slot; the dense warm leg repairs the previous
-// assignment itself.
+// the B&B incumbent (solver::repair_assignment).  The incumbent is the
+// whole warm start: both legs solve every root relaxation cold.  The
+// served engine's warm leg goes through solver::SolveCache; the dense
+// warm leg repairs the previous assignment itself.
 //
 // Every engine x leg also reports wall time per explored node and LP
 // pivots per node (IlpSolution::lp_pivots), so a warm leg's effect on LP

@@ -8,55 +8,14 @@ namespace lpvs::fleet {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x4C504650u;  // "LPFP"
-/// Magic, version, server, slot, slots_run, session count, entry count.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4;
-/// Key, fingerprint, status, objective, nodes, variable count; one byte
-/// per variable follows.
-constexpr std::size_t kEntryFixedBytes = 8 + 8 + 1 + 8 + 8 + 4;
-
-void encode_cache_entry(wire::Writer& w,
-                        const solver::SolveCache::ExportedEntry& entry) {
-  w.u64(entry.key);
-  w.u64(entry.fingerprint);
-  w.u8(static_cast<std::uint8_t>(entry.solution.status));
-  w.f64(entry.solution.objective);
-  w.i64(static_cast<std::int64_t>(entry.solution.nodes_explored));
-  w.u32(static_cast<std::uint32_t>(entry.solution.x.size()));
-  for (const int xi : entry.solution.x) {
-    w.u8(static_cast<std::uint8_t>(xi != 0 ? 1 : 0));
-  }
-}
-
-bool decode_cache_entry(wire::Reader& r,
-                        solver::SolveCache::ExportedEntry& entry) {
-  std::uint8_t status = 0;
-  std::int64_t nodes = 0;
-  std::uint32_t vars = 0;
-  if (!r.u64(entry.key) || !r.u64(entry.fingerprint) || !r.u8(status) ||
-      !r.f64(entry.solution.objective) || !r.i64(nodes) || !r.u32(vars)) {
-    return false;
-  }
-  entry.solution.status = static_cast<solver::IlpStatus>(status);
-  entry.solution.nodes_explored = static_cast<long>(nodes);
-  if (vars > r.remaining()) return false;  // bounds before allocating
-  entry.solution.x.resize(vars);
-  for (std::uint32_t i = 0; i < vars; ++i) {
-    std::uint8_t xi = 0;
-    if (!r.u8(xi)) return false;
-    entry.solution.x[i] = xi != 0 ? 1 : 0;
-  }
-  return true;
-}
+/// Magic, version, server, slot, slots_run, session count.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 4;
 
 }  // namespace
 
 std::size_t Checkpoint::encoded_size() const {
-  std::size_t size =
-      kHeaderBytes + sessions.size() * kSessionBodyBytes + wire::kSealBytes;
-  for (const solver::SolveCache::ExportedEntry& entry : cache_entries) {
-    size += kEntryFixedBytes + entry.solution.x.size();
-  }
-  return size;
+  return kHeaderBytes + sessions.size() * kSessionBodyBytes +
+         wire::kSealBytes;
 }
 
 std::vector<std::uint8_t> Checkpoint::encode() const {
@@ -70,10 +29,6 @@ std::vector<std::uint8_t> Checkpoint::encode() const {
   w.u32(static_cast<std::uint32_t>(sessions.size()));
   for (const SessionState& session : sessions) {
     encode_session_body(w, session);
-  }
-  w.u32(static_cast<std::uint32_t>(cache_entries.size()));
-  for (const solver::SolveCache::ExportedEntry& entry : cache_entries) {
-    encode_cache_entry(w, entry);
   }
   std::vector<std::uint8_t> bytes = w.take();
   wire::seal(bytes);
@@ -107,18 +62,6 @@ common::StatusOr<Checkpoint> Checkpoint::decode(
     }
     checkpoint.sessions.push_back(std::move(session));
   }
-  std::uint32_t entry_count = 0;
-  if (!r.u32(entry_count)) {
-    return common::Status::DataLoss("truncated checkpoint cache section");
-  }
-  checkpoint.cache_entries.reserve(entry_count);
-  for (std::uint32_t i = 0; i < entry_count; ++i) {
-    solver::SolveCache::ExportedEntry entry;
-    if (!decode_cache_entry(r, entry)) {
-      return common::Status::DataLoss("truncated checkpoint cache entry");
-    }
-    checkpoint.cache_entries.push_back(std::move(entry));
-  }
   if (!r.exhausted()) {
     return common::Status::DataLoss("trailing bytes after checkpoint");
   }
@@ -144,15 +87,6 @@ common::Json Checkpoint::to_json() const {
     session_rows.push(std::move(row));
   }
   doc.set("sessions", std::move(session_rows));
-  common::Json cache_rows = common::Json::array();
-  for (const solver::SolveCache::ExportedEntry& entry : cache_entries) {
-    common::Json row = common::Json::object();
-    row.set("key", static_cast<long>(entry.key));
-    row.set("fingerprint", static_cast<long>(entry.fingerprint));
-    row.set("variables", static_cast<long>(entry.solution.x.size()));
-    cache_rows.push(std::move(row));
-  }
-  doc.set("cache_entries", std::move(cache_rows));
   return doc;
 }
 

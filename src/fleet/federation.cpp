@@ -15,6 +15,7 @@
 #include "lpvs/display/display.hpp"
 #include "lpvs/fleet/wire.hpp"
 #include "lpvs/media/video.hpp"
+#include "lpvs/solver/solve_cache.hpp"
 #include "lpvs/survey/population.hpp"
 #include "lpvs/transform/transform.hpp"
 
@@ -448,7 +449,6 @@ void Federation::handle_crashes(int slot, FederationReport& report) {
       edge->sessions[state.user] = std::move(session);
       if (staleness_hist != nullptr) staleness_hist->observe(staleness);
     }
-    edge->cache.import_entries(checkpoint.cache_entries);
     edge->slots_run = checkpoint.slots_run;
   }
 }
@@ -859,10 +859,9 @@ void Federation::take_checkpoints(int slot) {
     if (!edge->leaving) live.push_back(edge.get());
   }
 
-  // The per-server encode.  A worker only reads: its server's sessions and
-  // counters, the solve cache (export_entries takes the cache's mutex) and
-  // its users' batteries, and it writes only its own frame — so the frames
-  // are the same bytes at any thread count.
+  // The per-server encode.  A worker only reads its server's sessions and
+  // counters and its users' batteries, and it writes only its own frame —
+  // so the frames are the same bytes at any thread count.
   std::vector<std::vector<std::uint8_t>> frames(live.size());
   const auto encode_one = [&](std::size_t index) {
     const EdgeServer& edge = *live[index];
@@ -881,7 +880,6 @@ void Federation::take_checkpoints(int slot) {
       state.last_assignment = session.last_assignment;
       state.slots_served = session.slots_served;
     }
-    checkpoint.cache_entries = edge.cache.export_entries();
     frames[index] = checkpoint.encode();
   };
 

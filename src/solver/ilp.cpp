@@ -181,17 +181,16 @@ IlpSolution GreedySolver::solve(const BinaryProgram& problem) const {
 }
 
 IlpSolution BranchAndBoundSolver::solve(const BinaryProgram& problem) const {
-  return solve_with_memory(problem, nullptr, nullptr);
+  return search(problem, nullptr);
 }
 
 IlpSolution BranchAndBoundSolver::solve(
     const BinaryProgram& problem, const std::vector<int>& incumbent) const {
-  return solve_with_memory(problem, &incumbent, nullptr);
+  return search(problem, &incumbent);
 }
 
-IlpSolution BranchAndBoundSolver::solve_with_memory(
-    const BinaryProgram& problem, const std::vector<int>* incumbent,
-    BasisHint* basis_memory) const {
+IlpSolution BranchAndBoundSolver::search(
+    const BinaryProgram& problem, const std::vector<int>* incumbent) const {
   const std::size_t n = problem.num_vars();
   const double tol = options_.tolerance;
   IlpSolution out;
@@ -208,7 +207,6 @@ IlpSolution BranchAndBoundSolver::solve_with_memory(
     out.status = IlpStatus::kInfeasible;
     out.x.assign(n, 0);
     out.nodes_explored = 0;
-    if (basis_memory != nullptr) *basis_memory = BasisHint{};
     return out;
   }
 
@@ -228,7 +226,6 @@ IlpSolution BranchAndBoundSolver::solve_with_memory(
     out.nodes_explored = 0;
     out.status = problem.feasible(out.x) ? IlpStatus::kOptimal
                                          : IlpStatus::kInfeasible;
-    if (basis_memory != nullptr) *basis_memory = BasisHint{};
     return out;
   }
 
@@ -277,14 +274,6 @@ IlpSolution BranchAndBoundSolver::solve_with_memory(
     out.status = IlpStatus::kMalformed;
     return out;
   }
-
-  // Cross-solve root-basis memory: valid only when the caller's previous
-  // solve presolved to the same variable/row maps (coefficient values may
-  // differ arbitrarily — that delta is what the dual re-solve absorbs).
-  const bool reuse_memory = basis_memory != nullptr &&
-                            !basis_memory->empty() &&
-                            basis_memory->var_map == pre.var_map &&
-                            basis_memory->row_map == pre.row_map;
 
   // LP-guided rounding over the search space, on buffers reused across
   // nodes: take the variables at one, then greedily pack the fractional
@@ -383,9 +372,8 @@ IlpSolution BranchAndBoundSolver::solve_with_memory(
   std::vector<HeapNode> heap;
   std::uint64_t next_seq = 0;
   // Pushes a root node: every search variable free, solved from
-  // `root_from` (or cold when that is null).
-  const SimplexBasis* root_from =
-      reuse_memory ? &basis_memory->basis : nullptr;
+  // `root_from` (cold until reduced-cost fixing carries a basis over).
+  const SimplexBasis* root_from = nullptr;
   auto push_root = [&](double bound) {
     const std::uint32_t slot = fixings.acquire();
     std::fill_n(fixings.at(slot), rn, static_cast<signed char>(-1));
@@ -494,13 +482,6 @@ IlpSolution BranchAndBoundSolver::solve_with_memory(
       relaxed = engine.solve_in_place();
     }
     pivots += relaxed.iterations;
-    if (root && basis_memory != nullptr) {
-      if (relaxed.optimal()) {
-        *basis_memory = BasisHint{engine.basis(), pre.var_map, pre.row_map};
-      } else {
-        *basis_memory = BasisHint{};
-      }
-    }
     const double bound = relaxed.objective + fix.fixed_objective;
     if (!relaxed.optimal() ||  // infeasible/limit: prune (counted)
         bound <= best_r.objective + prune_margin) {

@@ -14,8 +14,7 @@
 // Every rule is conservative: reductions never cut off an optimal solution
 // of the original program, and expand_solution() lifts a reduced solution
 // back losslessly.  Determinism: the reductions are pure index-ordered
-// scans, so identical inputs always produce identical maps — which is what
-// lets SolveCache basis memory key on (var_map, row_map) equality.
+// scans, so identical inputs always produce identical maps.
 #pragma once
 
 #include <cstdint>

@@ -13,12 +13,12 @@
 //
 //   - a cold solve runs the bounded primal simplex with incremental basic
 //     values (no per-pivot re-inversion), and
-//   - a re-solve from a known basis (the B&B parent node's, or the
-//     previous slot's root basis after coefficient deltas) refactorizes
-//     once and then runs the bounded *dual* simplex: after a branch fixes a
-//     variable's bounds the parent basis stays dual feasible and only a
-//     couple of primal violations need pivoting out, which is why the dual
-//     method is the natural warm-start engine.
+//   - a re-solve from a known basis (the B&B parent node's, or the root
+//     basis carried across reduced-cost fixing) refactorizes once and then
+//     runs the bounded *dual* simplex: after a branch fixes a variable's
+//     bounds the parent basis stays dual feasible and only a couple of
+//     primal violations need pivoting out, which is why the dual method is
+//     the natural warm-start engine.
 //
 // Feasibility phase: when a starting basis is neither primal nor dual
 // feasible (negative rhs, shifted bounds), reduced costs are temporarily
@@ -53,21 +53,6 @@ struct SimplexBasis {
 
   bool empty() const { return basic.empty(); }
   bool operator==(const SimplexBasis&) const = default;
-};
-
-/// Cross-solve basis memory: the root-relaxation basis of a solved binary
-/// program plus the presolve maps it was expressed under.  The next slot's
-/// solve reuses it only when its own presolve produces identical maps
-/// (same free variables, same active rows) — coefficient values may differ
-/// arbitrarily; that is exactly the delta the dual re-solve absorbs.
-/// In-memory only: checkpoints (SolveCache::ExportedEntry) do not carry it,
-/// a failed-over peer just rebuilds basis memory on its first solve.
-struct BasisHint {
-  SimplexBasis basis;
-  std::vector<std::uint32_t> var_map;  ///< reduced var -> original var
-  std::vector<std::uint32_t> row_map;  ///< reduced row -> original row
-
-  bool empty() const { return basis.empty(); }
 };
 
 /// Bounded-variable revised simplex over a loaded problem.
@@ -106,8 +91,8 @@ class RevisedLpSolver {
   /// Cold solve from the slack basis.
   LpSolution solve();
 
-  /// Warm re-solve from `from` (typically the parent node's or previous
-  /// slot's optimal basis; bounds/coefficients may have changed since).
+  /// Warm re-solve from `from` (typically the parent node's optimal basis;
+  /// bounds/coefficients may have changed since).
   /// Falls back to a cold solve when the snapshot does not fit the loaded
   /// problem or its basis matrix is singular under the new coefficients.
   LpSolution resolve(const SimplexBasis& from);

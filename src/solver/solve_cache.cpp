@@ -67,8 +67,8 @@ std::uint64_t budget_fingerprint(
   mix(h, options.relative_gap);
   // The LP engine's iteration limit and tolerance, then the engine tag
   // (1, the revised simplex) that budgets carried when a second B&B engine
-  // existed.  Constant now, but mixed so fingerprints already stored in
-  // checkpoints and solve caches keep their values.
+  // existed.  Constant now, but mixed so the fingerprint keeps its pinned
+  // value.
   mix(h, std::uint64_t{200000});
   mix(h, 1e-9);
   mix(h, std::uint64_t{1});
@@ -212,7 +212,6 @@ SolveCache::Hint SolveCache::lookup(std::uint64_t key,
         return hint;
       }
       previous = it->second.solution;
-      hint.basis = it->second.basis;
       have_previous = true;
       ++stats_.warm_starts;
     } else {
@@ -228,7 +227,7 @@ SolveCache::Hint SolveCache::lookup(std::uint64_t key,
 }
 
 void SolveCache::store(std::uint64_t key, std::uint64_t problem_fingerprint,
-                       const IlpSolution& solution, const BasisHint* basis) {
+                       const IlpSolution& solution) {
   if (solution.status != IlpStatus::kOptimal &&
       solution.status != IlpStatus::kFeasible) {
     return;
@@ -237,7 +236,6 @@ void SolveCache::store(std::uint64_t key, std::uint64_t problem_fingerprint,
   Entry& entry = entries_[key];
   entry.fingerprint = problem_fingerprint;
   entry.solution = solution;
-  entry.basis = basis != nullptr ? *basis : BasisHint{};
 }
 
 std::vector<int> SolveCache::previous_assignment(std::uint64_t key) const {
@@ -256,31 +254,6 @@ void SolveCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   stats_ = SolveCacheStats{};
-}
-
-std::vector<SolveCache::ExportedEntry> SolveCache::export_entries() const {
-  std::vector<ExportedEntry> exported;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    exported.reserve(entries_.size());
-    for (const auto& [key, entry] : entries_) {
-      exported.push_back({key, entry.fingerprint, entry.solution});
-    }
-  }
-  std::sort(exported.begin(), exported.end(),
-            [](const ExportedEntry& a, const ExportedEntry& b) {
-              return a.key < b.key;
-            });
-  return exported;
-}
-
-void SolveCache::import_entries(const std::vector<ExportedEntry>& entries) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const ExportedEntry& exported : entries) {
-    Entry& entry = entries_[exported.key];
-    entry.fingerprint = exported.fingerprint;
-    entry.solution = exported.solution;
-  }
 }
 
 CachedSolve solve_with_cache(const BranchAndBoundSolver& solver,
@@ -302,19 +275,14 @@ CachedSolve solve_with_cache(const BranchAndBoundSolver& solver,
     result.exact_hit = true;
     return result;
   }
-  // Basis memory rides along with the warm start: the solver re-solves
-  // the root relaxation dually from the previous slot's basis and writes
-  // this slot's back.
-  BasisHint basis = std::move(hint.basis);
   if (!hint.incumbent.empty()) {
     result.warm_started = true;
     result.incumbent_objective = problem.value(hint.incumbent);
-    result.solution =
-        solver.solve_with_memory(problem, &hint.incumbent, &basis);
+    result.solution = solver.solve(problem, hint.incumbent);
   } else {
-    result.solution = solver.solve_with_memory(problem, nullptr, &basis);
+    result.solution = solver.solve(problem);
   }
-  cache->store(key, fp, result.solution, &basis);
+  cache->store(key, fp, result.solution);
   return result;
 }
 

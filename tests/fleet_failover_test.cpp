@@ -281,7 +281,7 @@ TEST(FleetFailover, RetiredServerCheckpointLeavesTheStore) {
 
 // A server id that re-joins starts with empty state, so a crash before its
 // first new checkpoint is a cold restart of an empty server: nothing of its
-// previous life (cache entries, slot counter) comes back, and the run is
+// previous life (sessions, slot counter) comes back, and the run is
 // indistinguishable from the same run without that crash.
 TEST(FleetFailover, RejoinedServerCrashBeforeCheckpointIsACleanColdRestart) {
   const fleet::FederationConfig config = leave_config(/*rejoin=*/true);
@@ -333,7 +333,7 @@ TEST(FleetFailover, RejoinedServerCrashBeforeCheckpointIsACleanColdRestart) {
   EXPECT_EQ(report.total_energy_mwh, expected.total_energy_mwh);
   EXPECT_EQ(report.sessions_lost, 0);
 
-  // Every replicated frame, server 2's slot counter and cache included, is
+  // Every replicated frame, server 2's sessions and slot counter included, is
   // the one the crash-free run replicated.
   for (std::uint64_t server = 0; server < 3; ++server) {
     SCOPED_TRACE(testing::Message() << "server " << server);

@@ -441,7 +441,7 @@ TEST(FleetHandoff, CorruptionIsCaughtNeverDelivered) {
 
 // ----------------------------------------------------------- checkpoint --
 
-TEST(FleetCheckpoint, RoundTripsSessionsAndCacheEntries) {
+TEST(FleetCheckpoint, RoundTripsSessions) {
   fleet::Checkpoint checkpoint;
   checkpoint.server = 3;
   checkpoint.slot = 91;
@@ -449,14 +449,6 @@ TEST(FleetCheckpoint, RoundTripsSessionsAndCacheEntries) {
   for (std::uint64_t user : {2ull, 5ull, 11ull}) {
     checkpoint.sessions.push_back(sample_session(user));
   }
-  solver::SolveCache::ExportedEntry entry;
-  entry.key = 3;
-  entry.fingerprint = 0xFEEDFACEull;
-  entry.solution.status = solver::IlpStatus::kOptimal;
-  entry.solution.objective = -1234.5;
-  entry.solution.nodes_explored = 42;
-  entry.solution.x = {1, 0, 1};
-  checkpoint.cache_entries.push_back(entry);
 
   const std::vector<std::uint8_t> bytes = checkpoint.encode();
   common::StatusOr<fleet::Checkpoint> decoded =
@@ -469,10 +461,6 @@ TEST(FleetCheckpoint, RoundTripsSessionsAndCacheEntries) {
   ASSERT_EQ(out.sessions.size(), 3u);
   EXPECT_EQ(out.sessions[1].user, 5u);
   EXPECT_EQ(out.sessions[1].gamma.mean, checkpoint.sessions[1].gamma.mean);
-  ASSERT_EQ(out.cache_entries.size(), 1u);
-  EXPECT_EQ(out.cache_entries[0].fingerprint, 0xFEEDFACEull);
-  EXPECT_EQ(out.cache_entries[0].solution.x, entry.solution.x);
-  EXPECT_EQ(out.cache_entries[0].solution.objective, -1234.5);
 }
 
 TEST(FleetCheckpoint, DecodeRejectsCorruptionAndForeignFrames) {
@@ -492,6 +480,35 @@ TEST(FleetCheckpoint, DecodeRejectsCorruptionAndForeignFrames) {
       fleet::encode_session(sample_session(0));
   EXPECT_EQ(fleet::Checkpoint::decode(session_bytes).status().code(),
             common::StatusCode::kInvalidArgument);
+}
+
+TEST(FleetCheckpoint, DecodeRejectsOtherVersions) {
+  fleet::Checkpoint checkpoint;
+  checkpoint.server = 1;
+  checkpoint.slot = 5;
+  checkpoint.sessions.push_back(sample_session(0));
+  std::vector<std::uint8_t> payload = checkpoint.encode();
+  ASSERT_TRUE(fleet::wire::unseal(payload).ok());
+
+  // Intact, sealed frames that differ from the current one only in the
+  // version word (bytes 4..7, after the magic).
+  for (const std::uint32_t version :
+       {fleet::Checkpoint::kVersion - 1, fleet::Checkpoint::kVersion + 1}) {
+    std::vector<std::uint8_t> bytes = payload;
+    for (int i = 0; i < 4; ++i) {
+      bytes[4 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(version >> (8 * i));
+    }
+    fleet::wire::seal(bytes);
+    EXPECT_EQ(fleet::Checkpoint::decode(bytes).status().code(),
+              common::StatusCode::kInvalidArgument)
+        << "version " << version;
+  }
+
+  // The same rewrite with the current version decodes.
+  std::vector<std::uint8_t> current = payload;
+  fleet::wire::seal(current);
+  EXPECT_TRUE(fleet::Checkpoint::decode(current).ok());
 }
 
 TEST(FleetCheckpoint, StoreKeepsLatestPerServer) {

@@ -4,7 +4,8 @@
 // each, so a change to how the Writer stores a field — however it is
 // optimized — must leave every frame byte-for-byte the same.  The digests
 // were computed with the byte-at-a-time Writer that preceded the word-wide
-// one.
+// one; the checkpoint's was re-pinned when its version-2 frame dropped the
+// solve-cache section.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -69,23 +70,6 @@ fleet::Checkpoint edge_checkpoint() {
   c.sessions.push_back(edge_session(0));
   c.sessions.push_back(edge_session(kU32Max));
   c.sessions.push_back(edge_session(kU64Max));
-
-  solver::SolveCache::ExportedEntry empty;
-  empty.key = 0;
-  empty.fingerprint = kU64Max;
-  empty.solution.status = solver::IlpStatus::kMalformed;
-  empty.solution.objective = kNegZero;
-  empty.solution.nodes_explored = std::numeric_limits<long>::max();
-  c.cache_entries.push_back(empty);
-
-  solver::SolveCache::ExportedEntry wide;
-  wide.key = kU32Max;
-  wide.fingerprint = 0xF1EE7F00DB17E5ULL;
-  wide.solution.status = solver::IlpStatus::kFeasible;
-  wide.solution.objective = -kSubnormal;
-  wide.solution.nodes_explored = -1;
-  for (int i = 0; i < 200; ++i) wide.solution.x.push_back((i * 7) % 3 == 0);
-  c.cache_entries.push_back(wide);
   return c;
 }
 
@@ -112,8 +96,8 @@ obs::telemetry::Frame delta_frame() {
 
 TEST(WireGolden, CheckpointFrameBytesArePinned) {
   const std::vector<std::uint8_t> bytes = edge_checkpoint().encode();
-  EXPECT_EQ(bytes.size(), 841u);
-  EXPECT_EQ(digest(bytes), 0x27D3A7CF269B3B15ULL);
+  EXPECT_EQ(bytes.size(), 563u);
+  EXPECT_EQ(digest(bytes), 0x0D546AEA626E5BE9ULL);
 
   // The frame still decodes to the same edge values, bit for bit.
   common::StatusOr<fleet::Checkpoint> back = fleet::Checkpoint::decode(bytes);
@@ -170,7 +154,7 @@ TEST(WireGolden, SessionBodyBytesMatchTheEncoder) {
 }
 
 TEST(WireGolden, CheckpointReservesItsExactFrameSize) {
-  fleet::Checkpoint sparse;  // no sessions, no cache entries
+  fleet::Checkpoint sparse;  // no sessions
   for (const fleet::Checkpoint& checkpoint : {sparse, edge_checkpoint()}) {
     const std::vector<std::uint8_t> bytes = checkpoint.encode();
     EXPECT_EQ(checkpoint.encoded_size(), bytes.size());
