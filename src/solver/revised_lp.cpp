@@ -610,7 +610,10 @@ RevisedLpSolver::Result RevisedLpSolver::run() {
     const LpStatus status = dual_phase(shifted_, iters);
     if (status != LpStatus::kOptimal) return extract(status, iters);
   }
-  return extract(primal_phase(costs_, iters), iters);
+  // Its own statement: extract() takes `iters` by value, and an argument
+  // list may read it before primal_phase() has added its pivots.
+  const LpStatus status = primal_phase(costs_, iters);
+  return extract(status, iters);
 }
 
 RevisedLpSolver::Result RevisedLpSolver::solve_in_place() {

@@ -259,7 +259,11 @@ TEST(BranchAndBound, CountsLpPivotsOverExploredNodes) {
   EXPECT_GT(dense.lp_pivots, root.lp_pivots);
 
   // The served engine sums its pivots over the explored nodes as well.
+  // Its cold root starts from the slack basis, which is primal feasible
+  // here, so every root pivot is a primal-phase one and must be counted.
   const IlpSolution served_root = BranchAndBoundSolver(root_only).solve(p);
+  EXPECT_EQ(served_root.nodes_explored, 1);
+  EXPECT_GT(served_root.lp_pivots, 0);
   const IlpSolution served = BranchAndBoundSolver().solve(p);
   EXPECT_GT(served.nodes_explored, 1);
   EXPECT_GT(served.lp_pivots, served_root.lp_pivots);
