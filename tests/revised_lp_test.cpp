@@ -231,6 +231,27 @@ TEST(RevisedLpKernel, BasisAccessorsMirrorTheSnapshot) {
   }
 }
 
+TEST(RevisedLpKernel, ColdSolveCountsItsPrimalPivots) {
+  // Nonnegative rhs makes the slack basis primal feasible, so a cold solve
+  // runs the primal phase alone, from every structural at its lower bound
+  // 0.  Each structural nonzero at the optimum entered at least once, and
+  // every entering move (pivot or bound flip) is one counted iteration.
+  int with_support = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    common::Rng rng(36000 + static_cast<std::uint64_t>(trial));
+    const LpProblem p = random_binary_relaxation(rng);
+    RevisedLpSolver engine;
+    ASSERT_TRUE(engine.load(p));
+    const LpSolution solution = engine.solve();
+    ASSERT_TRUE(solution.optimal()) << "trial " << trial;
+    int support = 0;
+    for (double v : solution.x) support += v > 1e-9 ? 1 : 0;
+    with_support += support > 0 ? 1 : 0;
+    EXPECT_GE(solution.iterations, support) << "trial " << trial;
+  }
+  EXPECT_GT(with_support, kTrials / 2);
+}
+
 TEST(RevisedLpKernel, ResolveInPlaceMatchesResolveAfterABranch) {
   for (int trial = 0; trial < kTrials; ++trial) {
     common::Rng rng(34000 + static_cast<std::uint64_t>(trial));
