@@ -1,7 +1,9 @@
 // Fig. 10 — Running time of the LPVS scheduler as the VC group size grows,
 // with the linear fit the paper reports (y = 0.055x - 0.324, R^2 = 0.999 on
 // their hardware; the shape to reproduce is the *linear* growth and that
-// thousands of devices fit in a five-minute slot).
+// thousands of devices fit in a five-minute slot).  Each size prints its
+// summed B&B node count beside its mean time; the slot claim names the
+// largest size run.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -46,12 +48,13 @@ int main() {
   common::Rng rng(10);
 
   std::printf("=== Fig. 10: scheduler running time vs VC group size ===\n\n");
-  common::Table table({"devices", "time (ms)", "selected"});
+  common::Table table({"devices", "time (ms)", "B&B nodes", "selected"});
   std::vector<double> xs;
   std::vector<double> ys;
   constexpr int kRepeats = 7;  // B&B node counts vary per instance; average
   for (int devices = 500; devices <= 5000; devices += 500) {
     double total_ms = 0.0;
+    long nodes = 0;  // summed over the repeats: the deterministic work
     int selected = 0;
     for (int rep = 0; rep < kRepeats; ++rep) {
       const core::SlotProblem problem = make_problem(rng, devices);
@@ -59,13 +62,14 @@ int main() {
       const core::Schedule schedule = scheduler.schedule(problem, context);
       const auto t1 = std::chrono::steady_clock::now();
       total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+      nodes += schedule.ilp_nodes;
       selected = schedule.selected_count();
     }
     const double ms = total_ms / kRepeats;
     xs.push_back(devices);
     ys.push_back(ms);
     table.add_row({std::to_string(devices), common::Table::num(ms, 1),
-                   std::to_string(selected)});
+                   std::to_string(nodes), std::to_string(selected)});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -74,10 +78,10 @@ int main() {
               fit.slope, fit.intercept, fit.r_squared);
   std::printf("paper: y = 0.055 s/device * x - 0.324 s, R^2 = 0.999 "
               "(different hardware; the reproduced claim is linearity)\n");
-  const double slot_ms = 5.0 * 60.0 * 1000.0;
-  const double capacity =
-      fit.slope > 0.0 ? (slot_ms - fit.intercept) / fit.slope : 1e9;
-  std::printf("devices schedulable within one 5-minute slot: %.0f "
-              "(paper: >5,000)\n", capacity);
+  // Slot capacity is claimed only for a size actually run, never
+  // extrapolated from the fit.
+  std::printf("largest group run: %.0f devices in %.1f ms per schedule, "
+              "within one 5-minute slot (300000 ms; paper: >5,000)\n",
+              xs.back(), ys.back());
   return 0;
 }

@@ -139,8 +139,7 @@ JointSchedule JointAbrScheduler::schedule(const JointSlotProblem& problem,
 
   const solver::CachedSolve cached = solver::solve_with_cache(
       solver::BranchAndBoundSolver(options_), joint.program,
-      context.solve_cache, context.solve_key,
-      solver::budget_fingerprint(options_));
+      context.solve_cache, context.solve_key);
   const JointSelection selection =
       decode_selection(joint, cached.solution.x);
 

@@ -53,18 +53,11 @@ Schedule admit_in_order(const SlotProblem& problem,
   return score_selection(problem, anxiety, std::move(x));
 }
 
-/// Records one cached solve's outcome (hit kind, node count, incumbent
+/// Records one cached solve's outcome (warm or cold, node count, incumbent
 /// quality) into the registry; shared by the two ILP-backed schedulers.
 void record_solve_metrics(obs::MetricsRegistry* metrics,
                           const solver::CachedSolve& cached) {
   if (metrics == nullptr) return;
-  if (cached.exact_hit) {
-    metrics
-        ->counter("lpvs_solver_cache_exact_hits_total",
-                  "ILP solves skipped: identical problem fingerprint")
-        .add(1);
-    return;
-  }
   if (cached.warm_started) {
     metrics
         ->counter("lpvs_solver_warm_starts_total",
@@ -108,11 +101,6 @@ void record_solve_metrics(obs::MetricsRegistry* metrics,
 constexpr std::uint64_t kRungStride = 8;
 constexpr int kPassthroughRung =
     static_cast<int>(DegradationRung::kPassthrough);
-
-/// Salt mixed into cache fingerprints of degraded (rung > 0) results so a
-/// repaired or replayed assignment can warm-start later solves but never
-/// masquerade as an exact full-quality hit.
-constexpr std::uint64_t kDegradedFingerprintSalt = 0xD46A1D5C90F0C0DDULL;
 
 }  // namespace
 
@@ -263,21 +251,19 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
 
   // --- Phase-1: exact ILP on the energy-only objective (14). ---
   // With a cache in the context, consecutive-slot solves for the same
-  // stream key reuse the previous assignment as the B&B incumbent (or the
-  // whole solution, when the problem is bit-identical).  Degraded rungs
-  // skip the B&B: kWarmRepair greedy-repairs the previous assignment
-  // against the new program (a cold repair degenerates to the density
-  // greedy), kReplayPrevious replays it verbatim when it still fits, and
-  // kPassthrough serves everyone untransformed.
+  // stream key reuse the previous assignment as the B&B incumbent.
+  // Degraded rungs skip the B&B: kWarmRepair greedy-repairs the previous
+  // assignment against the new program (a cold repair degenerates to the
+  // density greedy), kReplayPrevious replays it verbatim when it still
+  // fits, and kPassthrough serves everyone untransformed.
   const solver::BinaryProgram program = phase1_program(problem);
-  const std::uint64_t budget_fp = solver::budget_fingerprint(ilp_options);
   std::vector<int> x;
   long nodes = 0;
   long root_fixed = 0;
   if (rung == 0) {
     const solver::CachedSolve cached = solver::solve_with_cache(
         solver::BranchAndBoundSolver(ilp_options), program,
-        context.solve_cache, context.solve_key, budget_fp);
+        context.solve_cache, context.solve_key);
     record_solve_metrics(context.metrics, cached);
     x = cached.solution.x;
     nodes = cached.solution.nodes_explored;
@@ -302,21 +288,10 @@ Schedule LpvsScheduler::run(const SlotProblem& problem,
     }
     if (rung == kPassthroughRung) x.clear();
     x.resize(n, 0);
-    // Degraded results still feed the warm-start chain, under a salted
-    // fingerprint so they can never exact-hit a full-quality lookup.
-    // Passthrough is withheld: an all-zeros incumbent would poison repair.
+    // Degraded results still feed the warm-start chain.  Passthrough is
+    // withheld: an all-zeros incumbent would poison repair.
     if (context.solve_cache != nullptr && rung < kPassthroughRung) {
-      solver::IlpSolution degraded;
-      degraded.status = solver::IlpStatus::kFeasible;
-      degraded.x = x;
-      degraded.objective = program.value(x);
-      context.solve_cache->store(
-          context.solve_key,
-          solver::combine_fingerprints(
-              solver::combine_fingerprints(solver::fingerprint(program),
-                                           budget_fp),
-              kDegradedFingerprintSalt + static_cast<std::uint64_t>(rung)),
-          degraded);
+      context.solve_cache->store(context.solve_key, x);
     }
   }
   x.resize(n, 0);
@@ -558,7 +533,7 @@ Schedule JointOptimalScheduler::schedule(const SlotProblem& problem,
   }
   const solver::CachedSolve cached = solver::solve_with_cache(
       solver::BranchAndBoundSolver(options_), program, context.solve_cache,
-      context.solve_key, solver::budget_fingerprint(options_));
+      context.solve_key);
   record_solve_metrics(context.metrics, cached);
   std::vector<int> x = cached.solution.x;
   x.resize(n, 0);

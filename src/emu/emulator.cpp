@@ -169,14 +169,10 @@ RunMetrics Emulator::run() {
 
   // Warm-start plumbing: this cluster's slot solves form one problem
   // stream, so consecutive slots seed each other's ILP incumbents.  The
-  // cache lives for the run; a caller-provided cache (e.g. a batch layer's)
-  // takes precedence so cross-run reuse stays possible.
+  // cache lives for the run.
   solver::SolveCache run_cache;
-  core::RunContext scheduling_context = context_;
-  if (scheduling_context.solve_cache == nullptr) {
-    scheduling_context =
-        context_.with_solve_cache(&run_cache, /*key=*/config_.seed);
-  }
+  const core::RunContext scheduling_context =
+      context_.with_solve_cache(&run_cache, /*key=*/config_.seed);
 
   double anxiety_accumulator = 0.0;
   double scheduler_ms_total = 0.0;

@@ -53,13 +53,6 @@ const std::vector<double>& serve_ms_buckets() {
   return bounds;
 }
 
-/// Fingerprint under which a server stores the handoff-derived warm hint.
-/// It matches no real problem fingerprint (collisions are the cache's
-/// accepted 2^-64 risk), so the hint never replays as an exact hit — it can
-/// only be greedy-repaired into a warm incumbent, index-aligned with the
-/// current slot's session order.
-constexpr std::uint64_t kHintFingerprint = 0xF1EE7F00DB17E5ULL;
-
 /// Placement key for a user: the mobility epoch in the high bits redraws
 /// the rendezvous permutation for this user only, leaving everyone else's
 /// assignment untouched.
@@ -183,9 +176,7 @@ struct Federation::ServeScratch {
   core::ClusterSlot step;
   std::vector<core::SlotMember> members;
   std::vector<ServerSession*> sessions;
-  solver::IlpSolution hint;
-
-  ServeScratch() { hint.status = solver::IlpStatus::kFeasible; }
+  std::vector<int> hint;
 };
 
 /// One emulated edge server.  Owns its sessions and its solve cache (one
@@ -667,7 +658,7 @@ void Federation::serve_slot(int slot, FederationReport& report,
     ServeScratch& scratch = serve_scratch_[runner];
     std::vector<core::SlotMember>& members = scratch.members;
     std::vector<ServerSession*>& sessions = scratch.sessions;
-    std::vector<int>& hint = scratch.hint.x;
+    std::vector<int>& hint = scratch.hint;
     members.clear();
     sessions.clear();
     hint.clear();
@@ -691,10 +682,9 @@ void Federation::serve_slot(int slot, FederationReport& report,
     // Seed the warm hint: the sessions' previous assignments, in this
     // slot's problem order.  After a handoff or failover the carried
     // last_assignment bits land index-correct here, so an arriving user
-    // does not cold-start the destination's ILP stream.  The salted
-    // fingerprint never exact-hits; the cache greedy-repairs the hint into
-    // the B&B incumbent.
-    edge.cache.store(edge.info.id, kHintFingerprint, scratch.hint);
+    // does not cold-start the destination's ILP stream.  The cache
+    // greedy-repairs the hint into the B&B incumbent.
+    edge.cache.store(edge.info.id, hint);
 
     const core::CheckedSchedule checked = step.solve(
         scheduler_, context_.with_fault_injector(nullptr)

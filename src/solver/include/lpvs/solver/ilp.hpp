@@ -78,8 +78,8 @@ struct IlpSolution {
 ///
 /// Deterministic: node counts and objectives are pure functions of
 /// (problem, options, incumbent) — no wall clocks, no thread-count
-/// dependence — which is what keeps SolveCache budget fingerprints and the
-/// degradation ladder's node budgets stable.  The returned objective
+/// dependence — which is what keeps warm-started cluster streams and the
+/// degradation ladder's node budgets reproducible.  The returned objective
 /// additionally never depends on the incumbent (it only steers pruning);
 /// the differential tests enforce this.
 class BranchAndBoundSolver {

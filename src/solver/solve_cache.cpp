@@ -1,29 +1,11 @@
 #include "lpvs/solver/solve_cache.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
 #include <numeric>
+#include <utility>
 
 namespace lpvs::solver {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-void mix(std::uint64_t& h, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (word >> (8 * byte)) & 0xFFu;
-    h *= kFnvPrime;
-  }
-}
-
-void mix(std::uint64_t& h, double value) {
-  // +0.0 and -0.0 compare equal but hash differently; canonicalize so two
-  // numerically identical problems cannot miss on a signed zero.
-  if (value == 0.0) value = 0.0;
-  mix(h, std::bit_cast<std::uint64_t>(value));
-}
 
 /// Density of item j under `problem` — the same value/normalized-cost
 /// ordering GreedySolver uses, so repair and cold greedy agree on what a
@@ -42,46 +24,6 @@ double item_density(const BinaryProgram& problem, std::size_t j) {
 }
 
 }  // namespace
-
-std::uint64_t fingerprint(const BinaryProgram& problem) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, static_cast<std::uint64_t>(problem.num_vars()));
-  mix(h, static_cast<std::uint64_t>(problem.rows.size()));
-  for (double c : problem.objective) mix(h, c);
-  for (const std::vector<double>& row : problem.rows) {
-    for (double a : row) mix(h, a);
-  }
-  for (double b : problem.rhs) mix(h, b);
-  mix(h, static_cast<std::uint64_t>(problem.eligible.size()));
-  for (std::uint8_t e : problem.eligible) {
-    mix(h, static_cast<std::uint64_t>(e != 0 ? 1 : 0));
-  }
-  return h;
-}
-
-std::uint64_t budget_fingerprint(
-    const BranchAndBoundSolver::Options& options) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, static_cast<std::uint64_t>(options.max_nodes));
-  mix(h, options.tolerance);
-  mix(h, options.relative_gap);
-  // The LP engine's iteration limit and tolerance, then the engine tag
-  // (1, the revised simplex) that budgets carried when a second B&B engine
-  // existed.  Constant now, but mixed so the fingerprint keeps its pinned
-  // value.
-  mix(h, std::uint64_t{200000});
-  mix(h, 1e-9);
-  mix(h, std::uint64_t{1});
-  return h;
-}
-
-std::uint64_t combine_fingerprints(std::uint64_t problem_fp,
-                                   std::uint64_t budget_fp) {
-  if (budget_fp == 0) return problem_fp;
-  std::uint64_t h = problem_fp;
-  mix(h, budget_fp);
-  return h;
-}
 
 std::vector<int> repair_assignment(const BinaryProgram& problem,
                                    const std::vector<int>& stale) {
@@ -193,56 +135,35 @@ std::vector<int> repair_assignment(const BinaryProgram& problem,
   return x;
 }
 
-SolveCache::Hint SolveCache::lookup(std::uint64_t key,
-                                    const BinaryProgram& problem,
-                                    std::uint64_t problem_fingerprint) {
-  Hint hint;
-  IlpSolution previous;
-  bool have_previous = false;
+std::vector<int> SolveCache::lookup(std::uint64_t key,
+                                    const BinaryProgram& problem) {
+  std::vector<int> previous;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.lookups;
     const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.fingerprint == problem_fingerprint &&
-          it->second.solution.x.size() == problem.num_vars()) {
-        ++stats_.exact_hits;
-        hint.exact_hit = true;
-        hint.solution = it->second.solution;
-        return hint;
-      }
-      previous = it->second.solution;
-      have_previous = true;
-      ++stats_.warm_starts;
-    } else {
+    if (it == entries_.end()) {
       ++stats_.cold_starts;
+      return {};
     }
+    previous = it->second;
+    ++stats_.warm_starts;
   }
   // Repair outside the lock: it reads only the caller's problem and the
   // copied predecessor.
-  if (have_previous) {
-    hint.incumbent = repair_assignment(problem, previous.x);
-  }
-  return hint;
+  return repair_assignment(problem, previous);
 }
 
-void SolveCache::store(std::uint64_t key, std::uint64_t problem_fingerprint,
-                       const IlpSolution& solution) {
-  if (solution.status != IlpStatus::kOptimal &&
-      solution.status != IlpStatus::kFeasible) {
-    return;
-  }
+void SolveCache::store(std::uint64_t key, std::vector<int> assignment) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entries_[key];
-  entry.fingerprint = problem_fingerprint;
-  entry.solution = solution;
+  entries_[key] = std::move(assignment);
 }
 
 std::vector<int> SolveCache::previous_assignment(std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) return {};
-  return it->second.solution.x;
+  return it->second;
 }
 
 SolveCacheStats SolveCache::stats() const {
@@ -258,31 +179,24 @@ void SolveCache::clear() {
 
 CachedSolve solve_with_cache(const BranchAndBoundSolver& solver,
                              const BinaryProgram& problem, SolveCache* cache,
-                             std::uint64_t key, std::uint64_t budget_fp) {
+                             std::uint64_t key) {
   CachedSolve result;
   if (cache == nullptr) {
     result.solution = solver.solve(problem);
     return result;
   }
-  const std::uint64_t fp =
-      combine_fingerprints(fingerprint(problem), budget_fp);
-  SolveCache::Hint hint = cache->lookup(key, problem, fp);
-  if (hint.exact_hit) {
-    result.solution = std::move(hint.solution);
-    result.solution.nodes_explored = 0;  // no search happened this slot
-    result.solution.lp_pivots = 0;
-    result.solution.root_fixed = 0;
-    result.exact_hit = true;
-    return result;
-  }
-  if (!hint.incumbent.empty()) {
+  const std::vector<int> incumbent = cache->lookup(key, problem);
+  if (!incumbent.empty()) {
     result.warm_started = true;
-    result.incumbent_objective = problem.value(hint.incumbent);
-    result.solution = solver.solve(problem, hint.incumbent);
+    result.incumbent_objective = problem.value(incumbent);
+    result.solution = solver.solve(problem, incumbent);
   } else {
     result.solution = solver.solve(problem);
   }
-  cache->store(key, fp, result.solution);
+  if (result.solution.status == IlpStatus::kOptimal ||
+      result.solution.status == IlpStatus::kFeasible) {
+    cache->store(key, result.solution.x);
+  }
   return result;
 }
 

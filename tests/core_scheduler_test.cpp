@@ -465,7 +465,7 @@ std::vector<SlotProblem> stream_problems(std::uint64_t seed,
   return problems;
 }
 
-TEST(SolveCacheLookup, ClassifiesColdExactAndWarmLookups) {
+TEST(SolveCacheLookup, ClassifiesColdAndWarmLookups) {
   const LpvsScheduler scheduler;
   solver::SolveCache cache;
   const auto problems = stream_problems(9, 4);
@@ -473,18 +473,11 @@ TEST(SolveCacheLookup, ClassifiesColdExactAndWarmLookups) {
   // First sight of every stream key: all cold.
   schedule_streams(scheduler, cache, problems);
   EXPECT_EQ(cache.stats().cold_starts, 4);
-  EXPECT_EQ(cache.stats().exact_hits, 0);
-
-  // Bit-identical resubmission: all exact hits, no new solves.
-  schedule_streams(scheduler, cache, problems);
-  EXPECT_EQ(cache.stats().exact_hits, 4);
   EXPECT_EQ(cache.stats().warm_starts, 0);
 
   // The next slot's drift: gamma posteriors move, so every stream's
-  // Phase-1 objective (and hence fingerprint) changes and the lookup
-  // falls back from exact reuse to a warm-started solve.  (Battery level
-  // alone is NOT enough — it only enters Phase-1 through the eligibility
-  // bits, so a small drain can leave the program bit-identical.)
+  // Phase-1 objective changes and each solve is warm-started from the
+  // stream's previous assignment.
   auto drifted = problems;
   for (auto& problem : drifted) {
     for (auto& device : problem.devices) {
@@ -492,55 +485,11 @@ TEST(SolveCacheLookup, ClassifiesColdExactAndWarmLookups) {
     }
   }
   schedule_streams(scheduler, cache, drifted);
-  EXPECT_EQ(cache.stats().exact_hits, 4);
   EXPECT_EQ(cache.stats().warm_starts, 4);
   EXPECT_EQ(cache.stats().cold_starts, 4);
 
   cache.clear();
   EXPECT_EQ(cache.stats().lookups, 0);
-}
-
-TEST(SolveCacheLookup, SingleCoefficientChangeInvalidatesExactHit) {
-  const LpvsScheduler scheduler;
-  solver::SolveCache cache;
-  auto problems = stream_problems(13, 1);
-  schedule_streams(scheduler, cache, problems);
-  schedule_streams(scheduler, cache, problems);
-  ASSERT_EQ(cache.stats().exact_hits, 1);
-
-  // One device's gamma posterior ticks by one ulp-scale step: the
-  // fingerprint must change and the cached solution must not be replayed.
-  problems[0].devices[0].gamma += 1e-9;
-  schedule_streams(scheduler, cache, problems);
-  EXPECT_EQ(cache.stats().exact_hits, 1);
-  EXPECT_EQ(cache.stats().warm_starts, 1);
-}
-
-TEST(SolveCacheFingerprint, ServedBudgetFingerprintIsPinned) {
-  // Checkpoints and exact cache hits carry this value, so it must not move
-  // when the solver's options change shape.
-  EXPECT_EQ(solver::budget_fingerprint(scheduler_ilp_defaults()),
-            std::uint64_t{0xBACA4B8136C66B59});
-}
-
-TEST(SolveCacheFingerprint, SensitiveToEveryCoefficientFamily) {
-  common::Rng rng(31);
-  const SlotProblem slot = random_problem(rng, 6);
-  const solver::BinaryProgram base = phase1_program(slot);
-  const std::uint64_t fp = solver::fingerprint(base);
-  EXPECT_EQ(fp, solver::fingerprint(base));  // pure function of the data
-
-  auto mutate = [&](auto&& change) {
-    solver::BinaryProgram copy = base;
-    change(copy);
-    return solver::fingerprint(copy);
-  };
-  EXPECT_NE(fp, mutate([](auto& p) { p.objective[0] += 1e-12; }));
-  EXPECT_NE(fp, mutate([](auto& p) { p.rows[0][1] += 1e-12; }));
-  EXPECT_NE(fp, mutate([](auto& p) { p.rhs[1] += 1e-12; }));
-  if (!base.eligible.empty()) {
-    EXPECT_NE(fp, mutate([](auto& p) { p.eligible[0] ^= 1; }));
-  }
 }
 
 /// Reference Phase-2 and scoring: the eager loop that priced every

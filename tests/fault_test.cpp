@@ -1,7 +1,8 @@
 // Tests for the fault-injection layer: deterministic per-site decisions,
 // retry-with-backoff policies, the lossy signaling exchange, the
-// degradation ladder, budget-tagged solve caching, and the contract that a
-// disabled injector leaves every computed result bit-identical.
+// degradation ladder (including how its rungs feed the solve cache), and
+// the contract that a disabled injector leaves every computed result
+// bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -614,6 +615,33 @@ TEST(DegradationLadder, WarmRepairIsFeasibleWithAndWithoutHistory) {
   EXPECT_TRUE(ladder_feasible(problem, warm));
 }
 
+TEST(DegradationLadder, DegradedAssignmentWarmStartsTheNextFullSolve) {
+  // A degraded rung's selection is the stream's last assignment: the next
+  // full solve of the same problem warm-starts from it and reaches the
+  // cold full solve's optimum.  Phase-2 is off so the rung's x is exactly
+  // what the rung stored.
+  const SlotProblem problem = ladder_problem(11);
+  const LpvsScheduler scheduler;
+  solver::SolveCache cache;
+  obs::MetricsRegistry registry;
+  const RunContext cached = RunContext(ladder_anxiety(), &registry)
+                                .with_solve_cache(&cache, /*key=*/12);
+  const Schedule repaired = scheduler.schedule_phase1_only(
+      problem, cached.with_deadline(SlotDeadline{0.0, 1}));
+  ASSERT_EQ(repaired.rung, DegradationRung::kWarmRepair);
+  EXPECT_EQ(cache.previous_assignment(12), repaired.x);
+
+  const Schedule full = scheduler.schedule_phase1_only(problem, cached);
+  ASSERT_EQ(full.rung, DegradationRung::kFullSolve);
+  EXPECT_EQ(registry.counter("lpvs_solver_warm_starts_total").value(), 1);
+  EXPECT_EQ(registry.counter("lpvs_solver_cold_starts_total").value(), 0);
+  const Schedule cold = scheduler.schedule_phase1_only(
+      problem, RunContext(ladder_anxiety()));
+  const solver::BinaryProgram program = phase1_program(problem);
+  EXPECT_NEAR(program.value(full.x), program.value(cold.x), 1e-9);
+  EXPECT_EQ(full.objective, cold.objective);
+}
+
 TEST(DegradationLadder, TinyDeadlineBudgetSkipsTheFullSolve) {
   const SlotProblem problem = ladder_problem(6);
   // 0.05 ms * 100 nodes/ms = 5 nodes < min_full_solve_nodes (16).
@@ -661,63 +689,6 @@ TEST(DegradationLadder, RungCountersLandInTheRegistry) {
 
 }  // namespace
 }  // namespace lpvs::core
-
-// ------------------------------------------------- budget fingerprints --
-
-namespace lpvs::solver {
-namespace {
-
-BinaryProgram cache_program() {
-  BinaryProgram program;
-  program.objective = {9.0, 7.0, 5.0, 4.0};
-  program.rows = {{2.0, 3.0, 1.0, 2.0}};
-  program.rhs = {5.0};
-  return program;
-}
-
-TEST(BudgetFingerprint, ZeroBudgetLeavesProblemFingerprintUnchanged) {
-  const std::uint64_t fp = fingerprint(cache_program());
-  EXPECT_EQ(combine_fingerprints(fp, 0), fp);
-}
-
-TEST(BudgetFingerprint, DifferentBudgetsProduceDifferentFingerprints) {
-  BranchAndBoundSolver::Options full;
-  BranchAndBoundSolver::Options truncated = full;
-  truncated.max_nodes = 32;
-  EXPECT_NE(budget_fingerprint(full), budget_fingerprint(truncated));
-  const std::uint64_t fp = fingerprint(cache_program());
-  EXPECT_NE(combine_fingerprints(fp, budget_fingerprint(full)),
-            combine_fingerprints(fp, budget_fingerprint(truncated)));
-}
-
-TEST(BudgetFingerprint, TruncatedSolveNeverExactHitsFullBudgetEntry) {
-  const BranchAndBoundSolver solver;
-  SolveCache cache;
-  const BinaryProgram program = cache_program();
-  BranchAndBoundSolver::Options full;
-  BranchAndBoundSolver::Options truncated = full;
-  truncated.max_nodes = 32;
-  const std::uint64_t full_fp = budget_fingerprint(full);
-  const std::uint64_t trunc_fp = budget_fingerprint(truncated);
-
-  const CachedSolve first =
-      solve_with_cache(solver, program, &cache, /*key=*/1, full_fp);
-  EXPECT_FALSE(first.exact_hit);
-  const CachedSolve same_budget =
-      solve_with_cache(solver, program, &cache, 1, full_fp);
-  EXPECT_TRUE(same_budget.exact_hit);
-  // A replayed hit did no search this slot.
-  EXPECT_EQ(same_budget.solution.nodes_explored, 0);
-  EXPECT_EQ(same_budget.solution.lp_pivots, 0);
-  const CachedSolve other_budget =
-      solve_with_cache(solver, program, &cache, 1, trunc_fp);
-  EXPECT_FALSE(other_budget.exact_hit);
-  // The stale entry still warm-starts the differently-budgeted solve.
-  EXPECT_TRUE(other_budget.warm_started);
-}
-
-}  // namespace
-}  // namespace lpvs::solver
 
 // ------------------------------------------ disabled-injector identity --
 

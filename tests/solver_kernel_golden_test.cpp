@@ -2,9 +2,9 @@
 //
 // The revised B&B node kernel is tuned for speed under one hard rule: it
 // must perform the same floating-point operations in the same order, so
-// every solve returns the same bits.  Node budgets, SolveCache
-// fingerprints, checkpoints and every determinism digest downstream lean
-// on that.  This suite folds the complete observable result of a seeded
+// every solve returns the same bits.  Node budgets, warm-started cache
+// streams, checkpoints and every determinism digest downstream lean on
+// that.  This suite folds the complete observable result of a seeded
 // corpus of solves — x, the objective's bit pattern, status and
 // nodes_explored — into one FNV-1a digest and compares it against a constant captured from the reference
 // implementation.  Any change to a reduction order, a tie-break or a
