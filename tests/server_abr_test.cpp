@@ -59,11 +59,11 @@ std::uint64_t fold_digests(
   return folded;
 }
 
-server::ServerConfig abr_config(std::uint32_t workers) {
+server::ServerConfig abr_config(std::uint32_t workers, bool abr = true) {
   return server::ServerConfig{}
       .with_seed(63)
       .with_workers(workers)
-      .with_abr(server::AbrConfig{}.with_enabled(true));
+      .with_abr(server::AbrConfig{}.with_enabled(abr));
 }
 
 int connect_to(std::uint16_t port) {
@@ -97,11 +97,12 @@ common::StatusOr<protocol::Frame> read_frame(int fd) {
   return protocol::decode_payload(std::move(payload));
 }
 
-/// One full fleet against a rung-enabled daemon; returns the loadgen
-/// report so callers can compare digests and playout accounting.
-loadgen::LoadGenReport run_fleet(std::uint32_t workers,
-                                 std::uint32_t threads) {
-  server::EdgeServerDaemon daemon(abr_config(workers), scheduler(),
+/// One full fleet against a daemon, rung-enabled unless `abr` is false;
+/// returns the loadgen report so callers can compare digests and playout
+/// accounting.
+loadgen::LoadGenReport run_fleet(std::uint32_t workers, std::uint32_t threads,
+                                 bool abr = true) {
+  server::EdgeServerDaemon daemon(abr_config(workers, abr), scheduler(),
                                   core::RunContext(anxiety()));
   EXPECT_TRUE(daemon.start().ok());
 
@@ -142,6 +143,22 @@ TEST(ServerAbr, RungEnabledPayloadsBitIdenticalAcrossWorkerCounts) {
     EXPECT_DOUBLE_EQ(report.mean_granted_bitrate_mbps,
                      reference.mean_granted_bitrate_mbps);
   }
+}
+
+TEST(ServerAbr, LoadgenPlayoutTotalsArePinned) {
+  // No payload digest sees the clients' playout accounting, so its totals
+  // are pinned here: a change to the playout buffer or the throughput
+  // estimator moves them.  One run with rung grants, one without (the
+  // clients keep their HELLO bitrates).
+  const loadgen::LoadGenReport governed = run_fleet(1, 2);
+  EXPECT_EQ(governed.startup_delay_s, 1048.5950137045752);
+  EXPECT_EQ(governed.rebuffer_time_s, 13719.136701440568);
+  EXPECT_EQ(governed.rebuffer_events, 59);
+
+  const loadgen::LoadGenReport fixed = run_fleet(1, 2, /*abr=*/false);
+  EXPECT_EQ(fixed.startup_delay_s, 1083.0860332725579);
+  EXPECT_EQ(fixed.rebuffer_time_s, 13663.827795464607);
+  EXPECT_EQ(fixed.rebuffer_events, 49);
 }
 
 TEST(ServerAbr, ScheduleCarriesGrantedLadderRung) {
