@@ -591,8 +591,9 @@ TEST(MalformedCorpus, RandomNoiseNeverDecodes) {
   }
 }
 
-// --- Field ranges: a client-sent number the scheduler cannot use is
-// --- rejected at decode, so it takes the malformed-frame path.
+// --- Field ranges: a number the receiver cannot use (the scheduler for
+// --- HELLO/REPORT, the client's playout and battery for SCHEDULE/GRANT)
+// --- is rejected at decode, so it takes the malformed-frame path.
 
 namespace {
 
@@ -655,4 +656,22 @@ TEST(SessionProtocolRanges, ReportBufferFinite) {
 TEST(SessionProtocolRanges, ReportThroughputFinite) {
   expect_field_range(sample_v2_report(), &protocol::Report::throughput_mbps,
                      {kNan, kInf, -kInf}, {0.0, 18.25});
+}
+
+TEST(SessionProtocolRanges, ScheduleBitrateNonNegativeAndFinite) {
+  expect_field_range(sample_v2_schedule(), &protocol::Schedule::bitrate_mbps,
+                     {kNan, kInf, -kInf, -1e-12, -5.0}, {0.0, 5.0});
+}
+
+TEST(SessionProtocolRanges, GrantChunkSecondsPositiveAndFinite) {
+  expect_field_range(protocol::Grant{5, 3, 100.0, 0.69},
+                     &protocol::Grant::chunk_seconds,
+                     {kNan, kInf, -kInf, 0.0, -10.0}, {1e-9, 100.0});
+}
+
+TEST(SessionProtocolRanges, GrantPowerScaleInUnitInterval) {
+  expect_field_range(protocol::Grant{5, 3, 100.0, 0.69},
+                     &protocol::Grant::power_scale,
+                     {kNan, kInf, -kInf, -1e-12, 1.0 + 1e-12, 2.0},
+                     {0.0, 0.69, 1.0});
 }
