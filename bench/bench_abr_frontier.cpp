@@ -122,7 +122,8 @@ core::SlotProblem display_problem(const std::vector<User>& fleet) {
 
 /// Plays one slot's chunks at the granted rung against the realized
 /// throughput, updating the buffer and QoE accounting.  `rebuffer_events`
-/// counts every stalled chunk here, not only the first of an episode.
+/// counts every stalled chunk here, not only the first of an episode; the
+/// policy row reports the total as `stalled_chunks`.
 void play_slot(User& user, double granted_mbps, double realized_mbps) {
   const double link = std::max(realized_mbps, 0.05);
   for (int k = 0; k < kChunksPerSlot; ++k) {
@@ -158,7 +159,7 @@ struct PolicyResult {
   double anxiety_mean = 0.0;
   double mean_bitrate_mbps = 0.0;
   double rebuffer_time_s = 0.0;
-  long rebuffer_events = 0;  ///< stalled chunks, not episodes
+  long stalled_chunks = 0;  ///< not freeze episodes
   long ilp_nodes = 0;
 };
 
@@ -278,7 +279,7 @@ PolicyResult run_policy(Policy policy,
     result.anxiety_mean += user.anxiety_sum / (kUsers * kSlots);
     result.mean_bitrate_mbps += user.qoe.mean_bitrate_mbps / kUsers;
     result.rebuffer_time_s += user.qoe.rebuffer_time_s;
-    result.rebuffer_events += user.qoe.rebuffer_events;
+    result.stalled_chunks += user.qoe.rebuffer_events;
   }
   result.energy_total_mwh =
       result.display_energy_mwh + result.receive_energy_mwh;
@@ -326,7 +327,7 @@ int main() {
                    common::Table::num(r.anxiety_mean, 4),
                    common::Table::num(r.mean_bitrate_mbps, 2),
                    common::Table::num(r.rebuffer_time_s, 1),
-                   std::to_string(r.rebuffer_events)});
+                   std::to_string(r.stalled_chunks)});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -370,7 +371,7 @@ int main() {
     row.set("anxiety_mean", r.anxiety_mean);
     row.set("mean_bitrate_mbps", r.mean_bitrate_mbps);
     row.set("rebuffer_time_s", r.rebuffer_time_s);
-    row.set("rebuffer_events", static_cast<long>(r.rebuffer_events));
+    row.set("stalled_chunks", static_cast<long>(r.stalled_chunks));
     row.set("ilp_nodes", static_cast<long>(r.ilp_nodes));
     rows.push(std::move(row));
   }
