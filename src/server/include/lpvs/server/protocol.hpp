@@ -62,6 +62,12 @@ inline constexpr std::uint32_t kMinVersion = 1;
 /// balloon the connection's inbound buffer.
 inline constexpr std::uint32_t kMaxFrameBytes = 4096;
 
+/// Most chunks one GRANT may carry.  A client plays every granted chunk
+/// in the slot, so this bounds how long one GRANT can hold a client: the
+/// decoder rejects a larger count, and the daemon refuses to start with a
+/// chunks_per_slot above it, so it never sends a GRANT its clients reject.
+inline constexpr std::uint32_t kMaxGrantChunks = 4096;
+
 enum class FrameType : std::uint8_t {
   kHello = 1,     ///< client → server: session open + device description
   kHelloAck = 2,  ///< server → client: admitted

@@ -126,7 +126,9 @@ class EdgeServerDaemon {
   EdgeServerDaemon& operator=(const EdgeServerDaemon&) = delete;
 
   /// Binds 127.0.0.1, starts the dispatcher and worker threads.
-  /// kUnavailable when the port cannot be bound.
+  /// kUnavailable when the port cannot be bound; kInvalidArgument when the
+  /// slot config's chunks_per_slot does not fit in a GRANT (outside
+  /// [0, protocol::kMaxGrantChunks]).
   common::Status start();
 
   /// The bound port (valid after start(); resolves port = 0 requests).

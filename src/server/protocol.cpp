@@ -104,8 +104,9 @@ void encode_body(Writer& w, const Grant& b) {
 bool decode_body(Reader& r, Grant& b, std::uint32_t) {
   // a <= x && x <= b is false for NaN too.
   return r.u32(b.slot) && r.u32(b.chunks) && r.f64(b.chunk_seconds) &&
-         r.f64(b.power_scale) && positive(b.chunk_seconds) &&
-         0.0 <= b.power_scale && b.power_scale <= 1.0;
+         r.f64(b.power_scale) && b.chunks <= kMaxGrantChunks &&
+         positive(b.chunk_seconds) && 0.0 <= b.power_scale &&
+         b.power_scale <= 1.0;
 }
 
 void encode_body(Writer& w, const Bye& b) { w.u8(b.reason); }

@@ -83,6 +83,12 @@ class EdgeServerDaemon::Impl {
   }
 
   common::Status start(std::uint16_t& bound_port) {
+    const int chunks = config_.slot.chunks_per_slot;
+    if (chunks < 0 ||
+        static_cast<std::uint32_t>(chunks) > protocol::kMaxGrantChunks) {
+      return common::Status::InvalidArgument(
+          "chunks_per_slot does not fit in a GRANT");
+    }
     io::ignore_sigpipe();
 
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

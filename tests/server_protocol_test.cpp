@@ -11,6 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "lpvs/core/run_context.hpp"
+#include "lpvs/core/scheduler.hpp"
+#include "lpvs/server/server.hpp"
+#include "lpvs/survey/lba_curve.hpp"
+
 namespace protocol = lpvs::server::protocol;
 namespace wire = lpvs::common::wire;
 using lpvs::common::StatusCode;
@@ -674,4 +679,43 @@ TEST(SessionProtocolRanges, GrantPowerScaleInUnitInterval) {
                      &protocol::Grant::power_scale,
                      {kNan, kInf, -kInf, -1e-12, 1.0 + 1e-12, 2.0},
                      {0.0, 0.69, 1.0});
+}
+
+TEST(SessionProtocolRanges, GrantChunksAtMostTheGrantBound) {
+  // The client plays every granted chunk, so an unbounded count would
+  // hold it for minutes.
+  const std::uint32_t bad[] = {protocol::kMaxGrantChunks + 1,
+                               std::numeric_limits<std::uint32_t>::max()};
+  for (const std::uint32_t chunks : bad) {
+    auto decoded = protocol::decode_payload(payload_of(
+        protocol::encode(protocol::make_frame(
+            protocol::Grant{5, chunks, 100.0, 0.69}))));
+    ASSERT_FALSE(decoded.ok()) << "accepted " << chunks;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << chunks;
+  }
+  for (const std::uint32_t chunks : {0u, 3u, protocol::kMaxGrantChunks}) {
+    auto decoded = protocol::decode_payload(payload_of(
+        protocol::encode(protocol::make_frame(
+            protocol::Grant{5, chunks, 100.0, 0.69}))));
+    ASSERT_TRUE(decoded.ok()) << chunks << ": "
+                              << decoded.status().to_string();
+    EXPECT_EQ(decoded->as<protocol::Grant>().chunks, chunks);
+  }
+}
+
+TEST(SessionProtocolRanges, DaemonRefusesChunksItsClientsWouldReject) {
+  // A slot the GRANT decoder would reject never gets served: start()
+  // refuses the config before binding anything.
+  const lpvs::survey::AnxietyModel anxiety =
+      lpvs::survey::AnxietyModel::reference();
+  const lpvs::core::LpvsScheduler scheduler;
+  for (const long chunks :
+       {static_cast<long>(protocol::kMaxGrantChunks) + 1, -1L}) {
+    lpvs::server::ServerConfig config;
+    config.slot.chunks_per_slot = static_cast<int>(chunks);
+    lpvs::server::EdgeServerDaemon daemon(config, scheduler,
+                                          lpvs::core::RunContext(anxiety));
+    const lpvs::common::Status status = daemon.start();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << chunks;
+  }
 }
