@@ -64,6 +64,15 @@ std::vector<int> repair_assignment(const BinaryProgram& problem,
     for (std::size_t i = 0; i < m; ++i) used[i] -= problem.rows[i][w];
   }
 
+  // Re-pack and swap polish below only ever take an unselected item that
+  // is not "never pick".  With none (capacity slack and the stale
+  // assignment took every usable item), they would change nothing.
+  bool any_candidate = false;
+  for (std::size_t j = 0; j < n && !any_candidate; ++j) {
+    any_candidate = !x[j] && !(density[j] < 0.0);
+  }
+  if (!any_candidate) return x;
+
   // Re-pack leftover capacity with the best unselected items (the slot
   // deltas that freed or added room).
   std::vector<std::size_t> order(n);
