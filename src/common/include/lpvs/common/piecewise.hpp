@@ -2,11 +2,23 @@
 // type for the empirical LBA curve phi(.) of Fig. 2: the survey module
 // extracts 100 knots (battery level 1..100 -> anxiety degree) and the LPVS
 // scheduler evaluates / integrates the curve when scoring schedules.
+//
+// The scheduler evaluates phi once per chunk per trajectory, so the knot
+// search is a table: [x_min, x_max] is split into equal buckets, and a
+// lookup computes x's bucket, starts at the knot the table holds for it
+// and scans up to the last knot at or below x.  The table is built with
+// the lookup's own bucket formula, which never decreases as x grows, so
+// every knot it names lies below any x of its bucket: the scan only ever
+// moves up, over the knots inside x's bucket.  The segment and the
+// interpolation formula are the ones std::upper_bound would give, so the
+// value is too, bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -49,8 +61,27 @@ class PiecewiseLinear {
   double slope_at(double x) const;
 
  private:
+  /// Buckets per knot-to-knot segment: enough that a bucket rarely holds
+  /// more than one knot of an uneven curve such as the reference phi.
+  static constexpr std::size_t kBucketsPerSegment = 4;
+
+  /// The bucket of x_min < x < x_max.  Capped as a double, so rounding
+  /// past the end (or an overflowed scale on a tiny x range) lands in the
+  /// last bucket.
+  std::size_t bucket_of(double x) const {
+    const double position =
+        std::min((x - xs_.front()) * buckets_per_x_, last_bucket_);
+    return static_cast<std::size_t>(static_cast<std::int64_t>(position));
+  }
+
   std::vector<double> xs_;
   std::vector<double> ys_;
+  /// bucket_knot_[b]: the last knot whose bucket is below b (the first
+  /// knot if none is), never the last knot.  Empty for fewer than two
+  /// knots.
+  std::vector<std::uint32_t> bucket_knot_;
+  double buckets_per_x_ = 0.0;  ///< bucket count / (x_max - x_min)
+  double last_bucket_ = 0.0;    ///< bucket count - 1
 };
 
 inline double PiecewiseLinear::operator()(double x) const {
@@ -58,16 +89,11 @@ inline double PiecewiseLinear::operator()(double x) const {
   if (x <= xs_.front()) return ys_.front();
   if (x >= xs_.back()) return ys_.back();
   if (std::isnan(x)) return x;
-  // Here x_min < x < x_max, so there are at least two knots.  Branchless
-  // search for the last knot at or below x: the segment std::upper_bound
-  // would pick, and never the last knot, so hi stays in range.
-  const double* lo_knot = xs_.data();
-  for (std::size_t len = xs_.size(); len > 1;) {
-    const std::size_t half = len / 2;
-    lo_knot = lo_knot[half] <= x ? lo_knot + half : lo_knot;
-    len -= half;
-  }
-  const auto lo = static_cast<std::size_t>(lo_knot - xs_.data());
+  // Here x_min < x < x_max, so there are at least two knots and a bucket
+  // table.  The bucket's knot is at or below x; x < x_max stops the scan
+  // before the last knot, so hi stays in range.
+  std::size_t lo = bucket_knot_[bucket_of(x)];
+  while (xs_[lo + 1] <= x) ++lo;
   const std::size_t hi = lo + 1;
   const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
   return ys_[lo] + t * (ys_[hi] - ys_[lo]);

@@ -17,6 +17,18 @@ PiecewiseLinear::PiecewiseLinear(std::vector<double> xs,
          std::adjacent_find(xs_.begin(), xs_.end(),
                             [](double a, double b) { return a >= b; }) ==
              xs_.end());
+  if (xs_.size() < 2) return;
+  const std::size_t buckets = kBucketsPerSegment * (xs_.size() - 1);
+  buckets_per_x_ = static_cast<double>(buckets) / (xs_.back() - xs_.front());
+  last_bucket_ = static_cast<double>(buckets - 1);
+  bucket_knot_.resize(buckets);
+  // The inner knots' buckets never decrease with the knot, as bucket_of
+  // never decreases with x.
+  std::size_t knot = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    while (knot + 2 < xs_.size() && bucket_of(xs_[knot + 1]) < b) ++knot;
+    bucket_knot_[b] = static_cast<std::uint32_t>(knot);
+  }
 }
 
 PiecewiseLinear PiecewiseLinear::from_uniform_samples(std::vector<double> ys,

@@ -268,7 +268,8 @@ TEST(AnxietyModel, MoreBatteryNeverMoreAnxiety) {
   }
 }
 
-/// The std::upper_bound lookup the inline knot search replaced.
+/// A binary-search reference for PiecewiseLinear's bucketed knot lookup:
+/// std::upper_bound picks the segment, then the same interpolation.
 double upper_bound_lookup(const common::PiecewiseLinear& f, double x) {
   const auto xs = f.xs();
   const auto ys = f.ys();
@@ -283,10 +284,11 @@ double upper_bound_lookup(const common::PiecewiseLinear& f, double x) {
 }
 
 /// Every knot, its neighbours one ulp either side, points between knots,
-/// and values below, above and at +-inf.
+/// +-0, values below, above and at +-inf, and the edges of any bucket
+/// table of 1 to 8 buckets per segment with their neighbours.
 std::vector<double> lookup_probes(const common::PiecewiseLinear& f) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> probes = {-kInf, -1e300, f.x_min() - 1.0,
+  std::vector<double> probes = {-kInf, -1e300, f.x_min() - 1.0, -0.0, 0.0,
                                 f.x_max() + 1.0, 1e300, kInf};
   const auto xs = f.xs();
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -294,6 +296,18 @@ std::vector<double> lookup_probes(const common::PiecewiseLinear& f) {
     probes.push_back(std::nextafter(xs[i], -kInf));
     probes.push_back(std::nextafter(xs[i], kInf));
     if (i + 1 < xs.size()) probes.push_back(0.5 * (xs[i] + xs[i + 1]));
+  }
+  for (std::size_t per_segment = 1;
+       per_segment <= 8 && xs.size() > 1; ++per_segment) {
+    const std::size_t buckets = per_segment * (xs.size() - 1);
+    const double width =
+        (f.x_max() - f.x_min()) / static_cast<double>(buckets);
+    for (std::size_t b = 0; b <= buckets; ++b) {
+      const double edge = f.x_min() + width * static_cast<double>(b);
+      probes.push_back(edge);
+      probes.push_back(std::nextafter(edge, -kInf));
+      probes.push_back(std::nextafter(edge, kInf));
+    }
   }
   return probes;
 }
@@ -304,6 +318,8 @@ void expect_lookup_bits(const common::PiecewiseLinear& f, const char* name) {
               std::bit_cast<std::uint64_t>(f(x)))
         << name << " x=" << x;
   }
+  EXPECT_TRUE(std::isnan(f(std::numeric_limits<double>::quiet_NaN())))
+      << name;
 }
 
 TEST(AnxietyModel, KnotSearchMatchesUpperBoundBitForBit) {
@@ -333,6 +349,20 @@ TEST(AnxietyModel, KnotSearchMatchesUpperBoundBitForBit) {
         common::PiecewiseLinear::from_uniform_samples(ys, -3.0, 0.7),
         "small");
   }
+
+  // Non-integer, uneven knots with a knot at 0 (so +-0 fall inside) and
+  // gaps from 0.25 to 32: several knots share a bucket, and others span
+  // many buckets.
+  expect_lookup_bits(
+      common::PiecewiseLinear(
+          {-2.5, -0.75, 0.0, 0.3, 1.9, 7.25, 7.5, 7.75, 40.125, 41.0},
+          {0.9, 0.1, 0.35, 0.8, 0.2, 0.45, 1.0, 0.05, 0.6, 0.3}),
+      "uneven");
+  // Zero strictly inside a segment, and a curve of two knots.
+  expect_lookup_bits(common::PiecewiseLinear({-1.3, 0.7, 2.9}, {0.2, 0.9, 0.1}),
+                     "zero inside a segment");
+  expect_lookup_bits(common::PiecewiseLinear({0.1, 0.3}, {0.7, 0.2}),
+                     "two knots");
 
   // at_percent is the clamped lookup on [0, 100], clamped into [0, 1].
   for (double percent : lookup_probes(reference.curve())) {
