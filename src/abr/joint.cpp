@@ -59,8 +59,9 @@ JointProgram build_joint_program(const JointSlotProblem& problem,
     const core::DeviceSlotInput& device = problem.base.devices[d];
     const DeviceStreamState& stream = problem.streams[d];
     seconds[d] = slot_seconds(device);
-    const double untransformed_mwh = core::untransformed_energy_mwh(device);
-    const bool transform_ok = core::eligible_for_transform(device);
+    const core::Phase1Terms terms = core::phase1_terms(device);
+    const double untransformed_mwh = terms.untransformed_energy_mwh;
+    const bool transform_ok = terms.eligible;
     if (transform_ok) {
       // The (13) benefit of turning the transform on — identical to what
       // JointOptimalScheduler maximizes, so the transform-only projection

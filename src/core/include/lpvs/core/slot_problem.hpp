@@ -76,6 +76,16 @@ DeviceEvaluation evaluate_forward(const DeviceSlotInput& device,
                                   bool transformed,
                                   const survey::AnxietyModel& anxiety);
 
+/// Both trajectories of one device from one walk over its chunks, each the
+/// same bits evaluate_forward returns for it.  score_selection uses it for
+/// a selected device, which needs the untransformed baseline as well.
+struct DeviceEvaluationPair {
+  DeviceEvaluation untransformed;  ///< evaluate_forward(device, false, .)
+  DeviceEvaluation transformed;    ///< evaluate_forward(device, true, .)
+};
+DeviceEvaluationPair evaluate_forward_pair(
+    const DeviceSlotInput& device, const survey::AnxietyModel& anxiety);
+
 /// Compacted-form objective term of (13) for this device: identical value
 /// to evaluate_forward(...).objective(lambda) — the equivalence the paper
 /// proves via (12) and that our property tests check numerically.
@@ -86,6 +96,8 @@ double compacted_objective(const DeviceSlotInput& device, bool transformed,
 /// How much serving this device transformed lowers its (13) term:
 /// compacted_objective(untransformed) - compacted_objective(transformed),
 /// with `lambda` the device's effective regularizer (lambda * sla_weight).
+/// One walk carries both trajectories; the difference is bit-identical to
+/// the two calls'.
 /// Phase-2's swap rule, the joint-optimal program and the joint ABR
 /// program all weigh a device's transform by this one number.
 double transform_benefit(const DeviceSlotInput& device,
@@ -111,5 +123,13 @@ bool eligible_for_transform(const DeviceSlotInput& device);
 
 /// Total energy (mWh) the device would spend on the slot untransformed.
 double untransformed_energy_mwh(const DeviceSlotInput& device);
+
+/// What the Phase-1 program needs of one device, from one walk over its
+/// chunks: the same bits as the two functions above.
+struct Phase1Terms {
+  double untransformed_energy_mwh = 0.0;  ///< untransformed_energy_mwh()
+  bool eligible = false;                  ///< eligible_for_transform()
+};
+Phase1Terms phase1_terms(const DeviceSlotInput& device);
 
 }  // namespace lpvs::core

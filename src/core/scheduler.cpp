@@ -127,10 +127,11 @@ solver::BinaryProgram phase1_program(const SlotProblem& problem) {
   program.eligible.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const DeviceSlotInput& device = problem.devices[j];
-    program.objective[j] = device.gamma * untransformed_energy_mwh(device);
+    const Phase1Terms terms = phase1_terms(device);
+    program.objective[j] = device.gamma * terms.untransformed_energy_mwh;
     program.rows[0][j] = device.compute_cost;
     program.rows[1][j] = device.storage_cost;
-    program.eligible[j] = eligible_for_transform(device) ? 1 : 0;
+    program.eligible[j] = terms.eligible ? 1 : 0;
   }
   return program;
 }
@@ -172,12 +173,18 @@ Schedule score_selection(const SlotProblem& problem,
   for (std::size_t n = 0; n < problem.devices.size(); ++n) {
     const DeviceSlotInput& device = problem.devices[n];
     const bool transformed = schedule.x[n] != 0;
-    const DeviceEvaluation without =
-        evaluate_forward(device, /*transformed=*/false, anxiety);
-    // An unselected device plays the untransformed slot: one pass suffices.
-    const DeviceEvaluation with =
-        transformed ? evaluate_forward(device, /*transformed=*/true, anxiety)
-                    : without;
+    // A selected device needs both trajectories, from one walk; an
+    // unselected one plays the untransformed slot, its own baseline.
+    DeviceEvaluation without;
+    DeviceEvaluation with;
+    if (transformed) {
+      const DeviceEvaluationPair pair = evaluate_forward_pair(device, anxiety);
+      without = pair.untransformed;
+      with = pair.transformed;
+    } else {
+      without = evaluate_forward(device, /*transformed=*/false, anxiety);
+      with = without;
+    }
     const double effective_lambda = problem.lambda * device.sla_weight;
     schedule.objective += with.objective(effective_lambda);
     schedule.baseline_objective += without.objective(effective_lambda);
