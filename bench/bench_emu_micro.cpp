@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the end-to-end machinery: survey
 // extraction throughput, trace synthesis, one emulated slot at different
 // VC sizes, the signaling cost arithmetic, checkpoint codecs, the
-// fork-join the federation pays per phase, and one member row's chunk
-// pricing and gamma.
+// fork-join the federation pays per phase, one member row's chunk
+// pricing and gamma, and the stages schedule() runs outside the B&B.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/common/thread_pool.hpp"
+#include "lpvs/core/scheduler.hpp"
 #include "lpvs/core/signaling.hpp"
 #include "lpvs/core/slot_kernel.hpp"
 #include "lpvs/display/display.hpp"
@@ -17,6 +18,7 @@
 #include "lpvs/fleet/checkpoint.hpp"
 #include "lpvs/obs/event_trace.hpp"
 #include "lpvs/obs/metrics.hpp"
+#include "lpvs/solver/solve_cache.hpp"
 #include "lpvs/survey/lba_curve.hpp"
 #include "lpvs/survey/population.hpp"
 #include "lpvs/trace/trace.hpp"
@@ -229,6 +231,85 @@ void BM_VideoGamma(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VideoGamma)->Arg(0)->Arg(1);
+
+/// One scheduling point for the stage benches.  range(0) = 0 is
+/// fleet-sized: 46 devices and slack capacity, so Phase-1 takes every
+/// eligible device.  range(0) = 1 is emulate-sized: 127 devices and a
+/// compute row at 40% of demand, so capacity binds.  Each device plays 30
+/// chunks of 10 s on a session-budget battery (a quarter of a 13 Wh one).
+struct StagePoint {
+  explicit StagePoint(const benchmark::State& state) {
+    const bool binding = state.range(0) == 1;
+    const std::size_t devices = binding ? 127 : 46;
+    lpvs::common::Rng rng(binding ? 127 : 46);
+    double total_compute = 0.0;
+    for (std::size_t n = 0; n < devices; ++n) {
+      lpvs::core::DeviceSlotInput& device = problem.devices.emplace_back();
+      device.id = lpvs::common::DeviceId{static_cast<std::uint32_t>(n)};
+      device.power_rates_mw.resize(30);
+      device.chunk_durations_s.assign(30, 10.0);
+      for (double& p : device.power_rates_mw) p = rng.uniform(300.0, 1200.0);
+      device.battery_capacity_mwh = 0.25 * 13000.0;
+      device.initial_energy_mwh =
+          device.battery_capacity_mwh * rng.uniform(0.05, 1.0);
+      device.gamma = rng.uniform(0.13, 0.49);
+      device.compute_cost = rng.uniform(0.2, 1.2);
+      device.storage_cost = rng.uniform(20.0, 200.0);
+      total_compute += device.compute_cost;
+    }
+    problem.compute_capacity = binding ? 0.4 * total_compute : 1e9;
+    problem.storage_capacity = 1e9;
+    program = lpvs::core::phase1_program(problem);
+    x = lpvs::solver::BranchAndBoundSolver(lpvs::core::scheduler_ilp_defaults())
+            .solve(program)
+            .x;
+    // The previous slot's assignment: everyone when capacity is slack (the
+    // usual fleet case), else this slot's optimum with every seventh
+    // device flipped, as if the slot's deltas had moved the boundary.
+    stale = x;
+    for (std::size_t j = 0; j < stale.size(); ++j) {
+      if (!binding) stale[j] = 1;
+      if (binding && j % 7 == 0) stale[j] = 1 - stale[j];
+    }
+  }
+
+  lpvs::core::SlotProblem problem;
+  lpvs::solver::BinaryProgram program;
+  std::vector<int> x;
+  std::vector<int> stale;
+};
+
+/// Scoring the final selection: both trajectories of every selected device.
+void BM_ScoreSelection(benchmark::State& state) {
+  const StagePoint point(state);
+  const lpvs::survey::AnxietyModel anxiety =
+      lpvs::survey::AnxietyModel::reference();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        lpvs::core::score_selection(point.problem, anxiety, point.x));
+  }
+}
+BENCHMARK(BM_ScoreSelection)->Arg(0)->Arg(1);
+
+/// The Phase-1 program (14): weights, capacity rows and eligibility.
+void BM_Phase1Program(benchmark::State& state) {
+  const StagePoint point(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lpvs::core::phase1_program(point.problem));
+  }
+}
+BENCHMARK(BM_Phase1Program)->Arg(0)->Arg(1);
+
+/// The warm-start incumbent: the previous assignment repaired against this
+/// slot's program.
+void BM_RepairAssignment(benchmark::State& state) {
+  const StagePoint point(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        lpvs::solver::repair_assignment(point.program, point.stale));
+  }
+}
+BENCHMARK(BM_RepairAssignment)->Arg(0)->Arg(1);
 
 }  // namespace
 
